@@ -24,11 +24,10 @@ from .gaussian import (Gaussian2D, NoiseQuadraticForm, PropagatorKernel, coheren
                        state_overlap, thermal_state)
 from .langevin import (ComparisonVerdict, MomentReport, SdeConfig, compare_to_propagator,
                        simulate_ensemble)
-from .model import (AffineFlow, DerivedParams, ModelParams, PhasePoint, TimeGenerator,
-                    classical_flow, derive, time_generator)
-from .observables import (AngleFunctional, energy_generating_function, energy_weyl_symbol,
-                          longtime_survival, mean_angle, nofriction_survival,
-                          phase_expectation, survival_probability, thermal_angle_expectation)
+from .model import AffineFlow, DerivedParams, ModelParams, PhasePoint, classical_flow, derive
+from .observables import (energy_generating_function, longtime_survival, mean_angle,
+                          nofriction_survival, phase_expectation, survival_probability,
+                          thermal_angle_expectation)
 from .phaseops import (GMatrix, HermitianMatrix, Spectrum, VarianceEstimate,
                        angle_operator_matrix, canonical_phase_matrix, delta_matrix_element,
                        g_coefficient, g_matrix, phase_fourier, phase_variance_diagonal,
@@ -42,16 +41,14 @@ __all__ = [
     "QuadratureNotConverged", "StepTooLarge", "ParameterMismatch", "ConvergenceFailure",
     "SizeTooLarge",
     # model
-    "ModelParams", "DerivedParams", "PhasePoint", "AffineFlow", "TimeGenerator",
-    "derive", "classical_flow", "time_generator",
+    "ModelParams", "DerivedParams", "PhasePoint", "AffineFlow", "derive", "classical_flow",
     # gaussian engine
     "Gaussian2D", "NoiseQuadraticForm", "PropagatorKernel", "ground_state",
     "coherent_state", "noise_form", "noise_form_longtime", "propagator", "evolve",
     "thermal_state", "state_overlap",
     # observables
-    "AngleFunctional", "survival_probability", "longtime_survival", "nofriction_survival",
-    "mean_angle", "phase_expectation", "thermal_angle_expectation",
-    "energy_generating_function", "energy_weyl_symbol",
+    "survival_probability", "longtime_survival", "nofriction_survival", "mean_angle",
+    "phase_expectation", "thermal_angle_expectation", "energy_generating_function",
     # phase operators
     "GMatrix", "HermitianMatrix", "Spectrum", "VarianceEstimate", "g_coefficient",
     "g_matrix", "phase_fourier", "angle_operator_matrix", "canonical_phase_matrix",

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.stats import norm as _norm
+from scipy.special import ndtr, ndtri
 
 from .errors import ParameterMismatch, StepTooLarge
 from .gaussian import Gaussian2D, ground_state, propagator
@@ -78,8 +78,10 @@ class SdeConfig:
             raise ValueError(f"dt must be positive, got {self.dt!r}")
         if self.n_steps < 1 or self.n_trajectories < 1:
             raise ValueError("n_steps and n_trajectories must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+        if not 0 <= self.seed < 2 ** 63:
+            # numpy turns a Philox key word >= 2**63 into float64, which merges
+            # neighbouring seeds or overflows
+            raise ValueError(f"seed must be an integer in [0, 2**63), got {self.seed!r}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
 
@@ -297,23 +299,24 @@ class ComparisonVerdict:
 
 
 _COMPONENTS = ("mean_x", "mean_y", "var_x", "cov_xy", "var_y")
+_BASE_Z = 3.0
 
 
-def bonferroni_threshold(n_comparisons: int, base_z: float = 3.0) -> float:
-    """z threshold giving a whole-family false-alarm rate of a single base_z test."""
-    p_single = 2.0 * _norm.sf(base_z)
-    return float(_norm.isf(p_single / (2.0 * n_comparisons)))
+def bonferroni_threshold(n_comparisons: int) -> float:
+    """z threshold giving a whole-family false-alarm rate of a single 3-sigma test."""
+    p_single = 2.0 * ndtr(-_BASE_Z)
+    return float(-ndtri(p_single / (2.0 * n_comparisons)))
 
 
 def compare_to_propagator(report: MomentReport, d: DerivedParams,
-                          base_z: float = 3.0, bonferroni: bool = True,
                           allow_mismatch: bool = False) -> ComparisonVerdict:
     """Z-test every reported moment against the analytic Gaussian prediction.
 
     Standard errors come from the analytic covariance (exact under the null).
-    With ``bonferroni=True`` the acceptance threshold is widened so the whole
-    family is as strict as a single ``base_z``-sigma test.  By default the
-    report and ``d`` must describe identical physics; pass
+    The acceptance threshold is Bonferroni-widened so the whole family is as
+    strict as a single 3-sigma test.  The report needs at least two
+    trajectories (the variance standard errors divide by ``n - 1``).  By
+    default the report and ``d`` must describe identical physics; pass
     ``allow_mismatch=True`` for deliberate negative controls.
 
     Deterministic corners (zero analytic spread, e.g. noiseless point starts)
@@ -330,6 +333,8 @@ def compare_to_propagator(report: MomentReport, d: DerivedParams,
             "pass allow_mismatch=True if this is a deliberate negative control")
 
     n = report.n_trajectories
+    if n < 2:
+        raise ValueError(f"comparison needs at least 2 trajectories, got {n}")
     mean0 = report.initial_mean
     cov0 = report.initial_cov
     omega_dt = q.omega * report.config.dt
@@ -357,7 +362,7 @@ def compare_to_propagator(report: MomentReport, d: DerivedParams,
             else:
                 z[i, k] = diff / se
     n_comp = int(np.isfinite(z).sum())
-    threshold = bonferroni_threshold(max(n_comp, 1), base_z) if bonferroni else base_z
+    threshold = bonferroni_threshold(max(n_comp, 1))
     flat = np.abs(z)
     i_worst, k_worst = np.unravel_index(int(np.argmax(flat)), flat.shape)
     max_z = float(flat[i_worst, k_worst])

@@ -29,10 +29,8 @@ __all__ = [
     "DerivedParams",
     "PhasePoint",
     "AffineFlow",
-    "TimeGenerator",
     "derive",
     "classical_flow",
-    "time_generator",
 ]
 
 
@@ -238,10 +236,6 @@ class AffineFlow:
         v = self.matrix @ (X, y)
         return (float(v[0]), float(v[1]))
 
-    def apply_canonical(self, point: PhasePoint) -> PhasePoint:
-        v = self.canonical @ (point.x, point.y)
-        return PhasePoint(float(v[0]), float(v[1]))
-
 
 def classical_flow(d: DerivedParams, tau: float, start: float = 0.0) -> AffineFlow:
     """Exact flow matrix of the unforced damped oscillator over a lag ``tau``.
@@ -263,41 +257,3 @@ def classical_flow(d: DerivedParams, tau: float, start: float = 0.0) -> AffineFl
     mat = damp * np.array([[c - g * s, -(d.omega / od) * s],
                            [(d.omega / od) * s, c + g * s]])
     return AffineFlow(matrix=mat, tau=float(tau), start=float(start), beta=d.beta)
-
-
-@dataclass(frozen=True)
-class TimeGenerator:
-    """Coefficients of the quadratic generator of the motion at one instant.
-
-    The generator (not the energy once friction acts) is
-
-        H_t(p, q) = p_squared*p**2 + q_squared*q**2 + q_linear*q
-
-    in physical units, with ``p`` the canonical momentum.  Hamilton's
-    equations for it reproduce ``m*qddot + m*beta*qdot + m*omega**2*q = F``.
-    """
-
-    p_squared: float
-    q_squared: float
-    q_linear: float
-    t: float
-
-    def value(self, p: float, q: float) -> float:
-        return self.p_squared * p * p + self.q_squared * q * q + self.q_linear * q
-
-    def hamilton_rhs(self, p: float, q: float) -> tuple[float, float]:
-        """``(dp/dt, dq/dt)`` generated by this Hamiltonian."""
-        return (-(2.0 * self.q_squared * q + self.q_linear), 2.0 * self.p_squared * p)
-
-
-def time_generator(d: DerivedParams, t: float, force: float = 0.0) -> TimeGenerator:
-    """Quadratic generator at time ``t`` with an instantaneous drive value."""
-    m, w, b = d.params.mass, d.params.omega, d.params.beta
-    decay = math.exp(-b * t)
-    grow = math.exp(b * t)
-    return TimeGenerator(
-        p_squared=decay / (2.0 * m),
-        q_squared=grow * m * w * w / 2.0,
-        q_linear=-grow * force,
-        t=float(t),
-    )

@@ -8,7 +8,6 @@ adaptive quadrature; the long-time energy generating function is closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -20,7 +19,6 @@ from .model import DerivedParams
 from .quadrature import integrate_angular
 
 __all__ = [
-    "AngleFunctional",
     "survival_probability",
     "longtime_survival",
     "nofriction_survival",
@@ -28,7 +26,6 @@ __all__ = [
     "phase_expectation",
     "thermal_angle_expectation",
     "energy_generating_function",
-    "energy_weyl_symbol",
 ]
 
 
@@ -136,23 +133,7 @@ def phase_expectation(state0: Gaussian2D | None, d: DerivedParams, t: float,
     return mean_angle(state, tol=tol)
 
 
-@dataclass(frozen=True)
-class AngleFunctional:
-    """A bounded function of the phase angle alone, ``phi in [-pi, pi)``.
-
-    ``fourier(k)`` may supply the coefficients
-    ``c_k = (1/2pi) * int Phi(phi) exp(i*k*phi) dphi`` when they are known in
-    closed form (used by the operator-matrix builders).
-    """
-
-    func: Callable[[float], float]
-    fourier: Callable[[int], complex] | None = None
-
-    def __call__(self, phi: float) -> float:
-        return self.func(phi)
-
-
-def thermal_angle_expectation(phi_func: AngleFunctional | Callable[[float], float],
+def thermal_angle_expectation(phi_func: Callable[[float], float],
                               d: DerivedParams, t: float, physical: bool = False,
                               tol: float = 1e-10) -> float:
     """Long-time expectation of a function of angle alone.
@@ -167,15 +148,14 @@ def thermal_angle_expectation(phi_func: AngleFunctional | Callable[[float], floa
     angle the same expectation is the plain uniform average, returned when
     ``physical=True``.
     """
-    f = phi_func.func if isinstance(phi_func, AngleFunctional) else phi_func
     if physical:
-        return integrate_angular(f, tol=tol) / (2.0 * math.pi)
+        return integrate_angular(phi_func, tol=tol) / (2.0 * math.pi)
     bt = d.beta * t
     lo, hi = math.exp(-bt), math.exp(bt)
 
     def weighted(phi: float) -> float:
         c, s = math.cos(phi), math.sin(phi)
-        return f(phi) / (lo * c * c + hi * s * s)
+        return phi_func(phi) / (lo * c * c + hi * s * s)
 
     return integrate_angular(weighted, tol=tol) / (2.0 * math.pi)
 
@@ -195,25 +175,3 @@ def energy_generating_function(d: DerivedParams, b_param: float, t: float) -> fl
     hw = d.params.hbar * d.omega
     k = hw * b_param * math.exp(-d.beta * t) / 2.0
     return 1.0 / (math.cosh(k) + d.temperature_number * math.exp(d.beta * t) * math.sinh(k))
-
-
-def energy_weyl_symbol(d: DerivedParams, b_param: float, t: float) -> Callable:
-    """Phase-space symbol of ``exp(-B * E_osc)`` at time ``t``.
-
-    The physical energy is a harmonic Hamiltonian in rescaled constants
-    (``m -> m*exp(2*beta*t)``, ``omega -> omega*exp(-beta*t)``), so its
-    symbol is the standard Gaussian one evaluated on the rescaled radius
-    ``Rbar^2 = x**2*exp(-beta*t) + y**2*exp(beta*t)``.  Returned as a
-    vectorised function of canonical ``(x, y)`` for quadrature cross-checks.
-    """
-    hw = d.params.hbar * d.omega
-    bt = d.beta * t
-    k = hw * b_param * math.exp(-bt) / 2.0
-    tk, ck = math.tanh(k), math.cosh(k)
-    shrink, grow = math.exp(-bt), math.exp(bt)
-
-    def symbol(x, y):
-        rbar2 = np.asarray(x) ** 2 * shrink + np.asarray(y) ** 2 * grow
-        return np.exp(-rbar2 * tk) / ck
-
-    return symbol

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import gammaln
 
 from .errors import ConvergenceFailure, SizeTooLarge
@@ -95,15 +95,18 @@ def g_coefficient(m: int, n: int) -> float:
 
 
 def g_matrix(n_max: int) -> GMatrix:
-    """Dense ``n_max x n_max`` coefficient table."""
+    """Dense ``n_max x n_max`` coefficient table, summed as in :func:`g_coefficient`."""
     _check_size(n_max)
-    idx = np.arange(n_max, dtype=float)
-    mm, nn = np.meshgrid(idx, idx, indexing="ij")
-    nl, ng = np.minimum(mm, nn), np.maximum(mm, nn)
-    s = np.where(nl % 2 == 0, 0.5, 1.0)
-    log_g = (-np.abs(mm - nn) * (math.log(2.0) / 2.0)
-             + gammaln(nl / 2.0 + s) - gammaln(ng / 2.0 + s)
-             + 0.5 * (gammaln(ng + 1.0) - gammaln(nl + 1.0)))
+    idx = np.arange(n_max)
+    # O(n_max) distinct log-Gammas, gathered by (nl, ng, parity of nl): row
+    # s of lg_half is gammaln(j/2 + s), s = 1/2 for even nl and 1 for odd
+    lg_half = np.stack([gammaln(idx / 2.0 + 0.5), gammaln(idx / 2.0 + 1.0)])
+    lg_fact = gammaln(idx + 1.0)
+    nl, ng = np.minimum.outer(idx, idx), np.maximum.outer(idx, idx)
+    parity = nl % 2
+    log_g = (-(ng - nl) * (math.log(2.0) / 2.0)
+             + lg_half[parity, nl] - lg_half[parity, ng]
+             + 0.5 * (lg_fact[ng] - lg_fact[nl]))
     return GMatrix(values=np.exp(log_g), n_max=n_max)
 
 
@@ -135,8 +138,29 @@ class HermitianMatrix:
         return self.values.shape[0]
 
 
-def angle_operator_matrix(fourier: Callable[[int], complex], n_max: int,
-                          kind: str = "angle") -> HermitianMatrix:
+def _offsets(n_max: int) -> np.ndarray:
+    """``n - m`` over the ``(m, n)`` index grid."""
+    idx = np.arange(n_max)
+    return idx - idx[:, np.newaxis]
+
+
+def _angle_matrix(g: np.ndarray, fourier: Callable[[int], complex], kind: str,
+                  beta_t: float | None = None) -> HermitianMatrix:
+    """Assemble ``(m, n) -> i**(m-n) * g[m, n] * c_(n-m)``, one ``fourier`` call per offset.
+
+    ``g`` must be symmetric: conjugating the strict lower triangle in place
+    then mirrors the upper one, so Hermiticity is exact.
+    """
+    n_max = g.shape[0]
+    k = np.arange(n_max)
+    coeff = _I_POW[(-k) % 4] * np.array([complex(fourier(int(j))) for j in k])
+    offset = _offsets(n_max)
+    out = g * coeff[np.abs(offset)]
+    np.conjugate(out, out=out, where=offset < 0)
+    return HermitianMatrix(values=out, kind=kind, beta_t=beta_t)
+
+
+def angle_operator_matrix(fourier: Callable[[int], complex], n_max: int) -> HermitianMatrix:
     """Matrix of the operator whose phase-space symbol is ``Phi(phi)``.
 
     Entry ``(m, n)`` is ``i**(m-n) * g[m, n] * c_(n-m)`` with ``c_k`` the
@@ -144,38 +168,18 @@ def angle_operator_matrix(fourier: Callable[[int], complex], n_max: int,
     conjugation, so Hermiticity is exact whenever ``Phi`` is real.
     """
     _check_size(n_max)
-    g = g_matrix(n_max).values
-    out = np.zeros((n_max, n_max), dtype=complex)
-    for m in range(n_max):
-        out[m, m] = g[m, m] * fourier(0)
-        for n in range(m + 1, n_max):
-            k = n - m
-            val = _I_POW[(-k) % 4] * g[m, n] * complex(fourier(k))
-            out[m, n] = val
-            out[n, m] = val.conjugate()
-    return HermitianMatrix(values=out, kind=kind)
-
-
-def _phase_matrix_from_table(g: np.ndarray, kind: str,
-                             beta_t: float | None) -> HermitianMatrix:
-    """Assemble ``(m, n) -> i**(n-m-1) * g[m, n]/(n-m)`` with a zero diagonal."""
-    n_max = g.shape[0]
-    mm, nn = np.meshgrid(np.arange(n_max), np.arange(n_max), indexing="ij")
-    k = nn - mm
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = _I_POW[(k - 1) % 4] * g / np.where(k == 0, 1, k)
-    vals[k == 0] = 0.0
-    return HermitianMatrix(values=vals, kind=kind, beta_t=beta_t)
+    return _angle_matrix(g_matrix(n_max).values, fourier, "angle")
 
 
 def canonical_phase_matrix(n_max: int) -> HermitianMatrix:
     """Matrix of the quantised canonical phase angle.
 
-    Zero diagonal; the nearest off-diagonal is ``g[m, m+1]`` (real), and the
-    2x2 truncation has eigenvalues ``+-sqrt(pi/2)``.
+    The sawtooth case of :func:`angle_operator_matrix`: zero diagonal, the
+    nearest off-diagonal is ``g[m, m+1]`` (real), and the 2x2 truncation has
+    eigenvalues ``+-sqrt(pi/2)``.
     """
     _check_size(n_max)
-    return _phase_matrix_from_table(g_matrix(n_max).values, "canonical", None)
+    return _angle_matrix(g_matrix(n_max).values, phase_fourier, "canonical")
 
 
 def attenuation(offset: int | np.ndarray, beta_t: float):
@@ -202,10 +206,8 @@ def physical_phase_matrix(n_max: int, beta_t: float) -> HermitianMatrix:
     _check_size(n_max)
     if beta_t < 0:
         raise ValueError(f"beta_t must be >= 0, got {beta_t!r}")
-    g = g_matrix(n_max).values
-    mm, nn = np.meshgrid(np.arange(n_max), np.arange(n_max), indexing="ij")
-    gbar = g * attenuation(nn - mm, beta_t)
-    return _phase_matrix_from_table(gbar, "physical", float(beta_t))
+    gbar = g_matrix(n_max).values * attenuation(_offsets(n_max), beta_t)
+    return _angle_matrix(gbar, phase_fourier, "physical", float(beta_t))
 
 
 @dataclass(frozen=True)
@@ -368,6 +370,13 @@ def phase_variance_diagonal(m: int, kind: str = "canonical", beta_t: float = 0.0
                             terms=m + span)
 
 
+def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two real 1-D arrays by one real-FFT pass."""
+    n = a.size + b.size - 1
+    size = next_fast_len(n, real=True)
+    return irfft(rfft(a, size) * rfft(b, size), size)[:n]
+
+
 def variance_diagonal_table(m_max: int, extra: int = 200_000,
                             beta_t: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Row variances for all ``m <= m_max`` at once, via FFT convolutions.
@@ -393,13 +402,13 @@ def variance_diagonal_table(m_max: int, extra: int = 200_000,
     q_odd = np.where(~even_mask, inv_c, 0.0)
 
     n_rows = m_max + 1
-    conv_pe = fftconvolve(p_even[:n_rows], kernel[:n_rows])[:n_rows]
-    conv_qo = fftconvolve(q_odd[:n_rows], kernel[:n_rows])[:n_rows]
+    conv_pe = _convolve(p_even[:n_rows], kernel[:n_rows])[:n_rows]
+    conv_qo = _convolve(q_odd[:n_rows], kernel[:n_rows])[:n_rows]
     lower = inv_c[:n_rows] * conv_pe + c[:n_rows] * conv_qo
 
     # correlations sum_{d>=1} a[m+d]*kernel[d]
-    corr_inv = fftconvolve(inv_c, kernel[::-1])[j_top:j_top + n_rows]
-    corr_c = fftconvolve(c, kernel[::-1])[j_top:j_top + n_rows]
+    corr_inv = _convolve(inv_c, kernel[::-1])[j_top:j_top + n_rows]
+    corr_c = _convolve(c, kernel[::-1])[j_top:j_top + n_rows]
     m_idx = np.arange(n_rows)
     upper = np.where(m_idx % 2 == 0, c[:n_rows] * corr_inv, inv_c[:n_rows] * corr_c)
 

@@ -1,0 +1,97 @@
+"""Reference implementations the tests compare the package against.
+
+They are deliberately plain (entry-by-entry loops, per-instant coefficient
+objects) and are not part of the package's public surface.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+from wigosc import DerivedParams
+
+_I_POW = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
+
+
+def angle_matrix_loop(g: np.ndarray, fourier: Callable[[int], complex]) -> np.ndarray:
+    """Entry-by-entry phase-operator matrix ``i**(m-n) * g[m, n] * c_(n-m)``.
+
+    ``fourier`` is called once per upper-triangle entry; the strict lower
+    triangle is filled by conjugation.  Exact oracle for the vectorised
+    assembly in :mod:`wigosc.phaseops`.
+    """
+    n_max = g.shape[0]
+    out = np.zeros((n_max, n_max), dtype=complex)
+    for m in range(n_max):
+        out[m, m] = g[m, m] * fourier(0)
+        for n in range(m + 1, n_max):
+            k = n - m
+            val = _I_POW[(-k) % 4] * g[m, n] * complex(fourier(k))
+            out[m, n] = val
+            out[n, m] = val.conjugate()
+    return out
+
+
+@dataclass(frozen=True)
+class TimeGenerator:
+    """Coefficients of the quadratic generator of the motion at one instant.
+
+    The generator (not the energy once friction acts) is
+
+        H_t(p, q) = p_squared*p**2 + q_squared*q**2 + q_linear*q
+
+    in physical units, with ``p`` the canonical momentum.  Hamilton's
+    equations for it reproduce ``m*qddot + m*beta*qdot + m*omega**2*q = F``.
+    """
+
+    p_squared: float
+    q_squared: float
+    q_linear: float
+    t: float
+
+    def value(self, p: float, q: float) -> float:
+        return self.p_squared * p * p + self.q_squared * q * q + self.q_linear * q
+
+    def hamilton_rhs(self, p: float, q: float) -> tuple[float, float]:
+        """``(dp/dt, dq/dt)`` generated by this Hamiltonian."""
+        return (-(2.0 * self.q_squared * q + self.q_linear), 2.0 * self.p_squared * p)
+
+
+def time_generator(d: DerivedParams, t: float, force: float = 0.0) -> TimeGenerator:
+    """Quadratic generator at time ``t`` with an instantaneous drive value."""
+    m, w, b = d.params.mass, d.params.omega, d.params.beta
+    decay = math.exp(-b * t)
+    grow = math.exp(b * t)
+    return TimeGenerator(
+        p_squared=decay / (2.0 * m),
+        q_squared=grow * m * w * w / 2.0,
+        q_linear=-grow * force,
+        t=float(t),
+    )
+
+
+def energy_weyl_symbol(d: DerivedParams, b_param: float, t: float) -> Callable:
+    """Phase-space symbol of ``exp(-B * E_osc)`` at time ``t``.
+
+    The physical energy is a harmonic Hamiltonian in rescaled constants
+    (``m -> m*exp(2*beta*t)``, ``omega -> omega*exp(-beta*t)``), so its
+    symbol is the standard Gaussian one evaluated on the rescaled radius
+    ``Rbar^2 = x**2*exp(-beta*t) + y**2*exp(beta*t)``.  Returned as a
+    vectorised function of canonical ``(x, y)`` for quadrature cross-checks
+    of :func:`wigosc.energy_generating_function`.
+    """
+    hw = d.params.hbar * d.omega
+    bt = d.beta * t
+    k = hw * b_param * math.exp(-bt) / 2.0
+    tk, ck = math.tanh(k), math.cosh(k)
+    shrink, grow = math.exp(-bt), math.exp(bt)
+
+    def symbol(x, y):
+        rbar2 = np.asarray(x) ** 2 * shrink + np.asarray(y) ** 2 * grow
+        return np.exp(-rbar2 * tk) / ck
+
+    return symbol

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
+from oracles import energy_weyl_symbol
 from wigosc import (ModelParams, SdeConfig, compare_to_propagator, derive,
-                    energy_generating_function, energy_weyl_symbol, evolve, ground_state,
-                    longtime_survival, nofriction_survival, phase_variance_diagonal,
-                    propagator, simulate_ensemble, survival_probability,
-                    thermal_angle_expectation, thermal_phase_variance, thermal_state)
+                    energy_generating_function, evolve, ground_state, longtime_survival,
+                    nofriction_survival, phase_variance_diagonal, propagator,
+                    simulate_ensemble, survival_probability, thermal_angle_expectation,
+                    thermal_phase_variance, thermal_state)
 from wigosc.cli import main as cli_main
 from wigosc.phaseops import (canonical_phase_matrix, delta_matrix_element,
                              physical_phase_matrix, spectrum)

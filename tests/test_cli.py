@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -138,3 +141,13 @@ class TestThreadEnvironment:
             assert rc == 0
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestStartup:
+    def test_import_skips_heavy_scipy_modules(self):
+        # scipy.stats and scipy.signal each cost most of a second to import
+        code = ("import sys, wigosc; "
+                "print(sorted(m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, timeout=120)
+        assert out.stdout.strip() == "[]"

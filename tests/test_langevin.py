@@ -26,6 +26,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             SdeConfig(dt=0.01, n_steps=10, n_trajectories=10, seed=1, scheme="rk4")
 
+    def test_seed_range(self):
+        # Philox key words >= 2**63 would pass through float64: 2**63 and
+        # 2**63 + 1 gave the same stream and 2**64 raised OverflowError
+        for seed in (-1, 2 ** 63, 2 ** 63 + 1, 2 ** 64):
+            with pytest.raises(ValueError):
+                SdeConfig(dt=0.01, n_steps=10, n_trajectories=2, seed=seed)
+        top = SdeConfig(dt=0.01, n_steps=10, n_trajectories=2, seed=2 ** 63 - 1)
+        below = SdeConfig(dt=0.01, n_steps=10, n_trajectories=2, seed=2 ** 63 - 2)
+        params = make_params(1.0, 0.1)
+        assert simulate_ensemble(params, top).digest() != simulate_ensemble(params, below).digest()
+
     def test_record_indices_cover_endpoints(self):
         cfg = SdeConfig(dt=0.01, n_steps=1003, n_trajectories=10, seed=1, record_every=100)
         idx = cfg.record_indices()
@@ -184,6 +195,13 @@ class TestComparison:
         verdict = compare_to_propagator(report, wrong, allow_mismatch=True)
         assert not verdict.passed
         assert verdict.max_abs_z > verdict.threshold
+
+    def test_single_trajectory_rejected(self):
+        params = make_params(2.0, 0.3)
+        cfg = SdeConfig(dt=0.005, n_steps=20, n_trajectories=1, seed=3)
+        report = simulate_ensemble(params, cfg)
+        with pytest.raises(ValueError, match="at least 2 trajectories"):
+            compare_to_propagator(report, derive(params))
 
     def test_zscore_layout(self, clean_run):
         params, report = clean_run

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import time_generator
 from wigosc import (ModelParams, NonPositiveParameter, OverdampedUnsupported,
-                    PhasePoint, classical_flow, derive, time_generator)
+                    PhasePoint, classical_flow, derive)
 
 
 class TestDerive:

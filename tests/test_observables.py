@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
-from wigosc import (AngleFunctional, Gaussian2D, ModelParams, RequiresFriction, derive,
-                    energy_generating_function, energy_weyl_symbol, evolve, ground_state,
-                    longtime_survival, mean_angle, nofriction_survival, phase_expectation,
-                    survival_probability, thermal_angle_expectation, thermal_state)
+from oracles import energy_weyl_symbol
+from wigosc import (Gaussian2D, ModelParams, RequiresFriction, derive,
+                    energy_generating_function, evolve, ground_state, longtime_survival,
+                    mean_angle, nofriction_survival, phase_expectation, survival_probability,
+                    thermal_angle_expectation, thermal_state)
 from wigosc.observables import _angle_profile
 
 PI2_3 = math.pi ** 2 / 3.0
@@ -198,8 +199,7 @@ class TestThermalAngle:
         # the stationary angle weight piles up at phi = 0 AND +-pi (both are
         # zeros of sin^2), so phi^2 averages to pi^2/2 at late times, not 0
         beta = d_default.beta
-        phi2 = AngleFunctional(lambda phi: phi * phi)
-        vals = [thermal_angle_expectation(phi2, d_default, bt / beta)
+        vals = [thermal_angle_expectation(lambda phi: phi * phi, d_default, bt / beta)
                 for bt in (0.0, 1.0, 4.0, 10.0)]
         assert vals[0] == pytest.approx(PI2_3, rel=1e-9)  # uniform limit
         assert vals == sorted(vals)

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre
 
+from oracles import angle_matrix_loop
 from wigosc import (SizeTooLarge, angle_operator_matrix, canonical_phase_matrix,
                     delta_matrix_element, g_coefficient, g_matrix, phase_fourier,
                     phase_variance_diagonal, physical_phase_matrix, spectrum,
                     thermal_phase_variance, variance_diagonal_table)
+from wigosc.phaseops import attenuation
 
 PI2_3 = math.pi ** 2 / 3.0
 PI2_4 = math.pi ** 2 / 4.0
@@ -92,10 +94,27 @@ class TestAngleOperatorMatrix:
             val = (re + 1j * im) / (2 * math.pi)
             assert phase_fourier(k) == pytest.approx(val, abs=1e-12)
 
-    def test_sawtooth_matrix_matches_phase_matrix(self):
-        a = angle_operator_matrix(phase_fourier, 30).values
-        b = canonical_phase_matrix(30).values
-        np.testing.assert_allclose(a, b, atol=1e-15)
+    @pytest.mark.parametrize("n_max", [1, 2, 30, 150])
+    def test_assembly_matches_entrywise_oracle(self, n_max):
+        calls = []
+
+        def cos_fourier(k):  # Phi = cos(phi): c_(+-1) = 1/2
+            calls.append(k)
+            return 0.5 if abs(k) == 1 else 0.0
+
+        g = g_matrix(n_max).values
+        idx = np.arange(n_max)
+        offsets = idx - idx[:, np.newaxis]
+        cases = [(canonical_phase_matrix(n_max), g, phase_fourier),
+                 (angle_operator_matrix(phase_fourier, n_max), g, phase_fourier),
+                 (angle_operator_matrix(cos_fourier, n_max), g, cos_fourier)]
+        # one callback per offset, not per entry
+        assert sorted(calls) == list(range(n_max))
+        for bt in (0.0, 2.0, 800.0):
+            cases.append((physical_phase_matrix(n_max, bt),
+                          g * attenuation(offsets, bt), phase_fourier))
+        for built, table, fourier in cases:
+            np.testing.assert_array_equal(built.values, angle_matrix_loop(table, fourier))
 
     def test_hermitian_exactly(self):
         a = angle_operator_matrix(phase_fourier, 40).values
