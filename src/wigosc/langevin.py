@@ -10,19 +10,19 @@ keyed by ``(seed, trajectory_index)``, trajectories are processed in blocks
 of a fixed size, and block partial sums are merged in index order.  Results
 are therefore bit-identical across runs and across worker-thread counts.
 
-The default one-step method is the semi-implicit (symplectic) Euler-Maruyama
-update: the momentum kick uses the old position, the position drift the new
-momentum.  The fully explicit update is also available behind the scheme tag,
-but its phase-space volume grows by ``1 + (omega*dt)**2`` per step, which over
-many periods swamps the statistical resolution of large ensembles; the
-semi-implicit form has the same weak order with a volume error of only
-``O((beta*dt)**2)`` per step.
+The one-step method is the semi-implicit (symplectic) Euler-Maruyama update:
+the momentum kick uses the old position, the position drift the new momentum.
+Its volume error is only ``O((beta*dt)**2)`` per step; the fully explicit
+update of the same weak order was rejected because its phase-space volume
+grows by ``1 + (omega*dt)**2`` per step, which over many periods swamps the
+statistical resolution of large ensembles.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -46,44 +46,51 @@ __all__ = [
 _BLOCK = 4096      # trajectories per block; fixed so the reduction order is fixed
 _CHUNK = 2500      # noise increments drawn per generator call
 
-SCHEMES = ("semi_implicit", "explicit")
-
 
 def default_threads() -> int:
     """Worker-thread count from the environment (``WIGOSC_THREADS``), else 1."""
+    raw = os.environ.get("WIGOSC_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("WIGOSC_THREADS", "1")))
+        threads = int(raw)
     except ValueError:
-        return 1
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"WIGOSC_THREADS must be a positive integer, got {raw!r}")
+    return threads
 
 
 @dataclass(frozen=True)
 class SdeConfig:
     """Discretisation and ensemble-size choices for one simulation.
 
-    ``record_every`` selects the moment-output stride in steps (the final
-    step is always recorded); ``threads`` <= 0 defers to ``WIGOSC_THREADS``.
+    ``record_every`` selects the moment-output stride in steps (0 picks
+    about 25 outputs; the final step is always recorded); ``threads`` <= 0
+    defers to ``WIGOSC_THREADS``.
     """
 
     dt: float
     n_steps: int
     n_trajectories: int
     seed: int
-    scheme: str = "semi_implicit"
     record_every: int = 0
     threads: int = 0
 
     def __post_init__(self):
         if self.dt <= 0 or not math.isfinite(self.dt):
             raise ValueError(f"dt must be positive, got {self.dt!r}")
+        for name in ("n_steps", "n_trajectories", "seed", "record_every", "threads"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.n_steps < 1 or self.n_trajectories < 1:
             raise ValueError("n_steps and n_trajectories must be >= 1")
         if not 0 <= self.seed < 2 ** 63:
             # numpy turns a Philox key word >= 2**63 into float64, which merges
             # neighbouring seeds or overflows
             raise ValueError(f"seed must be an integer in [0, 2**63), got {self.seed!r}")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+        if self.record_every < 0:
+            raise ValueError(f"record_every must be >= 0, got {self.record_every!r}")
 
     def record_indices(self) -> np.ndarray:
         stride = self.record_every if self.record_every > 0 else max(1, self.n_steps // 25)
@@ -131,34 +138,26 @@ class MomentReport:
         return h.hexdigest()
 
 
-def _initial_sampler(initial, alpha: float, scale_p: float):
-    """Returns (mean, cov, draw(gen) -> (q, P)): dimensionless moments, physical draws."""
+def _start_moments(initial) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Dimensionless start ``(mean, cov, root)`` with ``cov = root @ root.T``.
+
+    ``root`` is ``None`` for a deterministic :class:`PhasePoint` start.
+    """
     if initial is None:
         initial = ground_state()
-    if isinstance(initial, Gaussian2D):
-        mean = np.array(initial.mean, dtype=float)
-        cov = np.array(initial.cov, dtype=float)
-        evals, evecs = np.linalg.eigh(cov)
-        root = evecs @ np.diag(np.sqrt(np.clip(evals, 0.0, None)))
-
-        def draw(gen: Generator) -> tuple[float, float]:
-            x, y = mean + root @ gen.standard_normal(2)
-            return y / alpha, x * scale_p
-
-        return mean, cov, draw
     if isinstance(initial, PhasePoint):
-        pt = np.array([initial.x, initial.y], dtype=float)
-    else:
-        pt = np.array(initial, dtype=float).reshape(2)
+        return np.array([initial.x, initial.y], dtype=float), np.zeros((2, 2)), None
+    if not isinstance(initial, Gaussian2D):
+        raise TypeError(f"initial must be a Gaussian2D, a PhasePoint or None, "
+                        f"got {type(initial).__name__}")
+    mean = np.array(initial.mean, dtype=float)
+    cov = np.array(initial.cov, dtype=float)
+    evals, evecs = np.linalg.eigh(cov)
+    return mean, cov, evecs @ np.diag(np.sqrt(np.clip(evals, 0.0, None)))
 
-    def draw_point(gen: Generator) -> tuple[float, float]:
-        return pt[1] / alpha, pt[0] * scale_p
 
-    return pt, np.zeros((2, 2)), draw_point
-
-
-def _run_block(block_index: int, params: ModelParams, cfg: SdeConfig,
-               initial, rec_idx: np.ndarray) -> np.ndarray:
+def _run_block(block_index: int, params: ModelParams, cfg: SdeConfig, mean0: np.ndarray,
+               root: np.ndarray | None, rec_idx: np.ndarray) -> np.ndarray:
     """Simulate one block of trajectories; return (nout, 5) moment sums.
 
     Column order: X, y, X*X, X*y, y*y, summed over the block's trajectories.
@@ -169,7 +168,6 @@ def _run_block(block_index: int, params: ModelParams, cfg: SdeConfig,
     scale_p = hbar * alpha  # X = P / (hbar*alpha)
     dt = cfg.dt
     sq = math.sqrt(params.noise_strength * dt)
-    explicit = cfg.scheme == "explicit"
     c_fric = 1.0 - b * dt
     c_spring = -m * w * w * dt
     dtm = dt / m
@@ -177,12 +175,13 @@ def _run_block(block_index: int, params: ModelParams, cfg: SdeConfig,
     lo = block_index * _BLOCK
     nb = min(_BLOCK, cfg.n_trajectories - lo)
     gens = [Generator(Philox(key=[cfg.seed, lo + i])) for i in range(nb)]
-    mean0, cov0, draw = _initial_sampler(initial, alpha, scale_p)
 
-    q = np.empty(nb)
-    p = np.empty(nb)
-    for i, gen in enumerate(gens):
-        q[i], p[i] = draw(gen)
+    q = np.full(nb, mean0[1] / alpha)
+    p = np.full(nb, mean0[0] * scale_p)
+    if root is not None:
+        for i, gen in enumerate(gens):
+            x, y = mean0 + root @ gen.standard_normal(2)
+            q[i], p[i] = y / alpha, x * scale_p
 
     nout = len(rec_idx)
     sums = np.zeros((nout, 5))
@@ -206,17 +205,10 @@ def _run_block(block_index: int, params: ModelParams, cfg: SdeConfig,
         for i, gen in enumerate(gens):
             noise[:, i] = gen.standard_normal(ns)
         for s in range(ns):
-            if explicit:
-                dq = p * dtm
-                p *= c_fric
-                p += c_spring * q
-                p += sq * noise[s]
-                q += dq
-            else:
-                p *= c_fric
-                p += c_spring * q
-                p += sq * noise[s]
-                q += p * dtm
+            p *= c_fric
+            p += c_spring * q
+            p += sq * noise[s]
+            q += p * dtm
             step += 1
             slot = rec_set.get(step)
             if slot is not None:
@@ -229,27 +221,23 @@ def simulate_ensemble(params: ModelParams, cfg: SdeConfig,
     """Integrate the ensemble and reduce it to per-time moments.
 
     ``initial`` may be a :class:`Gaussian2D` (sampled per trajectory), a
-    :class:`PhasePoint` / 2-sequence (deterministic start), or ``None`` for
-    the minimum-uncertainty state.  Raises :class:`StepTooLarge` when
+    :class:`PhasePoint` (deterministic start), or ``None`` for the
+    minimum-uncertainty state.  Raises :class:`StepTooLarge` when
     ``omega*dt > 0.1``.
     """
     if params.omega * cfg.dt > 0.1:
         raise StepTooLarge(f"omega*dt = {params.omega * cfg.dt:.3g} > 0.1")
+    mean0, cov0, root = _start_moments(initial)
     rec_idx = cfg.record_indices()
     n_blocks = (cfg.n_trajectories + _BLOCK - 1) // _BLOCK
     threads = cfg.threads if cfg.threads > 0 else default_threads()
 
-    if threads > 1 and n_blocks > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_run_block, i, params, cfg, initial, rec_idx)
-                       for i in range(n_blocks)]
-            partials = [f.result() for f in futures]
-    else:
-        partials = [_run_block(i, params, cfg, initial, rec_idx) for i in range(n_blocks)]
-
-    sums = np.zeros_like(partials[0])
-    for part in partials:  # fixed merge order regardless of completion order
-        sums += part
+    sums = np.zeros((len(rec_idx), 5))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        # map yields in block order, so the merge order is fixed
+        for part in pool.map(lambda i: _run_block(i, params, cfg, mean0, root, rec_idx),
+                             range(n_blocks)):
+            sums += part
 
     n = cfg.n_trajectories
     mean = sums[:, :2] / n
@@ -269,8 +257,6 @@ def simulate_ensemble(params: ModelParams, cfg: SdeConfig,
     cross = np.sqrt(np.abs(cov[:, 0, 0] * cov[:, 1, 1] + cov[:, 0, 1] ** 2) / max(n - 1, 1))
     se_cov[:, 0, 1] = se_cov[:, 1, 0] = cross
 
-    alpha = math.sqrt(params.mass * params.omega / params.hbar)
-    mean0, cov0, _ = _initial_sampler(initial, alpha, params.hbar * alpha)
     return MomentReport(
         times=rec_idx * cfg.dt,
         mean=mean,

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import erf, erfcx
 
 from .errors import RequiresFriction
-from .gaussian import Gaussian2D, evolve, ground_state, state_overlap
+from .gaussian import _DEGENERATE_TOL, Gaussian2D, evolve, ground_state, state_overlap
 from .model import DerivedParams
 from .quadrature import integrate_angular
 
@@ -77,9 +77,12 @@ def _angle_profile(state: Gaussian2D):
     integral ``int_0^inf R * rho(R*u(phi)) dR`` is closed form.  For a
     centred state the profile is simply ``1/q(phi)`` with
     ``q = u^T C^{-1} u``; a non-zero mean adds an erf term, routed through
-    ``erfcx`` so nothing overflows however eccentric the state.
+    ``erfcx`` so nothing overflows however eccentric the state.  A point or
+    rank-1 state has no angle density and raises ``ValueError``.
     """
     det = float(np.linalg.det(state.cov))
+    if det <= _DEGENERATE_TOL:
+        raise ValueError("degenerate covariance has no angle density")
     inv = np.linalg.inv(state.cov)
     i00, i01, i11 = float(inv[0, 0]), float(inv[0, 1]), float(inv[1, 1])
     m0, m1 = float(state.mean[0]), float(state.mean[1])
@@ -134,8 +137,7 @@ def phase_expectation(state0: Gaussian2D | None, d: DerivedParams, t: float,
 
 
 def thermal_angle_expectation(phi_func: Callable[[float], float],
-                              d: DerivedParams, t: float, physical: bool = False,
-                              tol: float = 1e-10) -> float:
+                              d: DerivedParams, t: float, tol: float = 1e-10) -> float:
     """Long-time expectation of a function of angle alone.
 
     In the canonical plane the stationary angle density is
@@ -145,11 +147,8 @@ def thermal_angle_expectation(phi_func: Callable[[float], float],
     which integrates to one for every ``beta*t`` and concentrates on the
     ``x``-axis (``phi = 0`` and ``+-pi``) as ``beta*t`` grows.  That weight
     is exactly the Jacobian ``d(phys angle)/d(phi)``, so in the physical
-    angle the same expectation is the plain uniform average, returned when
-    ``physical=True``.
+    angle the same expectation is the plain uniform average.
     """
-    if physical:
-        return integrate_angular(phi_func, tol=tol) / (2.0 * math.pi)
     bt = d.beta * t
     lo, hi = math.exp(-bt), math.exp(bt)
 

@@ -52,6 +52,17 @@ _I_POW = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
 # pi^2/3; every call re-asserts the cap against what it actually computed.
 _VARIANCE_SUP = 4.0
 
+# Cap on the terms one row-variance series sums before closing its bracket.
+_MAX_TERMS = 8_000_000
+
+
+def _check_beta_t(beta_t: float) -> float:
+    """``beta_t`` as a float; ``+inf`` (the late-time limit) passes, NaN and negatives raise."""
+    beta_t = float(beta_t)
+    if not beta_t >= 0.0:
+        raise ValueError(f"beta_t must be >= 0, got {beta_t!r}")
+    return beta_t
+
 
 def _check_size(n_max: int) -> None:
     if n_max < 1:
@@ -204,10 +215,9 @@ def physical_phase_matrix(n_max: int, beta_t: float) -> HermitianMatrix:
     ``+-pi/2``.
     """
     _check_size(n_max)
-    if beta_t < 0:
-        raise ValueError(f"beta_t must be >= 0, got {beta_t!r}")
+    beta_t = _check_beta_t(beta_t)
     gbar = g_matrix(n_max).values * attenuation(_offsets(n_max), beta_t)
-    return _angle_matrix(gbar, phase_fourier, "physical", float(beta_t))
+    return _angle_matrix(gbar, phase_fourier, "physical", beta_t)
 
 
 @dataclass(frozen=True)
@@ -320,7 +330,7 @@ def _row_weights(offsets: np.ndarray, beta_t: float | None) -> np.ndarray:
 
 
 def phase_variance_diagonal(m: int, kind: str = "canonical", beta_t: float = 0.0,
-                            tol: float = 1e-6, max_terms: int = 8_000_000) -> VarianceEstimate:
+                            tol: float = 1e-6) -> VarianceEstimate:
     """Diagonal second moment of a phase matrix row, ``sum_j |A[m, j]|**2``.
 
     For the canonical angle this is
@@ -330,23 +340,23 @@ def phase_variance_diagonal(m: int, kind: str = "canonical", beta_t: float = 0.0
     approaching ``pi**2/3`` for deep rows; the physical variant replaces
     ``g`` by its attenuated form and approaches ``pi**2/4`` at late times.
     The infinite part is summed until the certified bracket half-width drops
-    below ``tol`` (or ``max_terms`` is hit) and closed with the bracket
+    below ``tol`` (or 8 million terms are summed) and closed with the bracket
     midpoint; the achieved half-width is reported.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
     if kind not in ("canonical", "physical"):
         raise ValueError(f"kind must be 'canonical' or 'physical', got {kind!r}")
-    bt = None if kind == "canonical" else float(beta_t)
+    bt = None if kind == "canonical" else _check_beta_t(beta_t)
     c_m = float(np.exp(_log_c(np.array([float(m)])))[0])
 
     span = 50_000
     while True:
         low, high = _tail_bracket(m, m + span, c_m, bt)
-        if (high - low) / 2.0 <= tol or span >= max_terms:
+        if (high - low) / 2.0 <= tol or span >= _MAX_TERMS:
             break
         span *= 2
-    span = min(span, max_terms)
+    span = min(span, _MAX_TERMS)
     low, high = _tail_bracket(m, m + span, c_m, bt)
 
     total = 0.0
@@ -389,6 +399,8 @@ def variance_diagonal_table(m_max: int, extra: int = 200_000,
     """
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
+    if beta_t is not None:
+        beta_t = _check_beta_t(beta_t)
     j_top = m_max + max(extra, 2)
     j = np.arange(0, j_top + 1, dtype=float)
     c = np.exp(_log_c(j))

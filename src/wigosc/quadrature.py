@@ -10,7 +10,7 @@ pi/2 at strong damping, so panel break points are threaded through.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 from scipy.integrate import quad
 
@@ -18,22 +18,22 @@ from .errors import QuadratureNotConverged
 
 __all__ = ["integrate", "integrate_angular"]
 
+_LIMIT = 300  # QUADPACK subinterval budget per panel
+_EDGES = (-math.pi, -math.pi / 2.0, 0.0, math.pi / 2.0, math.pi)
+
 
 def integrate(f: Callable[[float], float], a: float, b: float,
-              tol: float = 1e-10, limit: int = 300) -> float:
+              tol: float = 1e-10) -> float:
     """Integrate ``f`` on ``[a, b]`` to absolute tolerance ``tol``."""
-    value, err = quad(f, a, b, epsabs=tol, epsrel=tol, limit=limit)
+    value, err = quad(f, a, b, epsabs=tol, epsrel=tol, limit=_LIMIT)
     if not math.isfinite(value) or err > max(tol, 10.0 * tol * abs(value)):
         raise QuadratureNotConverged(f"integral on [{a}, {b}] did not converge",
                                      value, err, tol)
     return value
 
 
-def integrate_angular(f: Callable[[float], float], tol: float = 1e-10,
-                      breaks: Sequence[float] = (-math.pi / 2.0, 0.0, math.pi / 2.0),
-                      limit: int = 300) -> float:
-    """Integrate ``f`` over one period [-pi, pi), splitting at known features."""
-    edges = [-math.pi, *sorted(breaks), math.pi]
-    panel_tol = tol / len(edges)
-    return sum(integrate(f, lo, hi, tol=panel_tol, limit=limit)
-               for lo, hi in zip(edges[:-1], edges[1:]))
+def integrate_angular(f: Callable[[float], float], tol: float = 1e-10) -> float:
+    """Integrate ``f`` over one period [-pi, pi), splitting at multiples of pi/2."""
+    panel_tol = tol / len(_EDGES)
+    return sum(integrate(f, lo, hi, tol=panel_tol)
+               for lo, hi in zip(_EDGES[:-1], _EDGES[1:]))

@@ -1,7 +1,8 @@
 """Reference implementations the tests compare the package against.
 
 They are deliberately plain (entry-by-entry loops, per-instant coefficient
-objects) and are not part of the package's public surface.
+objects, step-by-step moment recursions) and are not part of the package's
+public surface.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from wigosc import DerivedParams
+from wigosc import DerivedParams, ModelParams
 
 _I_POW = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
 
@@ -95,3 +96,35 @@ def energy_weyl_symbol(d: DerivedParams, b_param: float, t: float) -> Callable:
         return np.exp(-rbar2 * tk) / ck
 
     return symbol
+
+
+def scheme_moments(params: ModelParams, dt: float, n_steps: int, mean0: np.ndarray,
+                   cov0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact mean and covariance of the semi-implicit Euler-Maruyama chain after ``n_steps``.
+
+    In the dimensionless physical pair ``(X, y)`` of
+    :class:`wigosc.MomentReport`, with ``h = omega*dt``, one step of the
+    Langevin oracle is linear with additive Gaussian noise,
+
+        X' = (1 - beta*dt)*X - h*y + s*xi,    y' = y + h*X',
+
+    i.e. ``z' = A z + b xi`` with ``s = sqrt(mu*dt)/(hbar*alpha)`` and
+    ``alpha = sqrt(m*omega/hbar)``, so the moments obey ``m <- A m`` and
+    ``C <- A C A^T + b b^T`` exactly.  The
+    recursion never touches the analytic propagator: it is the oracle of the
+    discrete scheme itself, whose distance from the propagator is the
+    scheme's discretisation bias.
+    """
+    h = params.omega * dt
+    c = 1.0 - params.beta * dt
+    alpha = math.sqrt(params.mass * params.omega / params.hbar)
+    s = math.sqrt(params.noise_strength * dt) / (params.hbar * alpha)
+    step = np.array([[c, -h], [h * c, 1.0 - h * h]])
+    kick = s * np.array([1.0, h])
+    noise = np.outer(kick, kick)
+    mean = np.array(mean0, dtype=float)
+    cov = np.array(cov0, dtype=float)
+    for _ in range(n_steps):
+        mean = step @ mean
+        cov = step @ cov @ step.T + noise
+    return mean, cov

@@ -142,6 +142,13 @@ class TestThreadEnvironment:
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("raw", ["two", "-3"])
+    def test_bad_thread_count_exits_2(self, tmp_path, monkeypatch, capsys, raw):
+        monkeypatch.setenv("WIGOSC_THREADS", raw)
+        rc = main(TestValidateCommand.FAST + ["--out", str(tmp_path / "x.txt")])
+        assert rc == 2
+        assert "WIGOSC_THREADS" in capsys.readouterr().err
+
 
 class TestStartup:
     def test_import_skips_heavy_scipy_modules(self):

@@ -1,11 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from oracles import scheme_moments
 from wigosc import (Gaussian2D, ModelParams, ParameterMismatch, PhasePoint, SdeConfig,
                     StepTooLarge, classical_flow, compare_to_propagator, derive,
-                    ground_state, simulate_ensemble)
+                    ground_state, propagator, simulate_ensemble)
 
 
 def make_params(big_d, big_b, no=None):
@@ -23,8 +25,38 @@ class TestConfig:
             SdeConfig(dt=-0.1, n_steps=10, n_trajectories=10, seed=1)
         with pytest.raises(ValueError):
             SdeConfig(dt=0.01, n_steps=0, n_trajectories=10, seed=1)
-        with pytest.raises(ValueError):
-            SdeConfig(dt=0.01, n_steps=10, n_trajectories=10, seed=1, scheme="rk4")
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 1.5), ("seed", 1.0), ("n_steps", 10.0), ("n_trajectories", 2.5),
+        ("record_every", 2.0), ("threads", 1.0), ("record_every", -5)])
+    def test_integer_fields_rejected_loudly(self, field, value):
+        # a float seed must not quietly run another seed's stream, and a
+        # negative stride must not quietly mean the default one
+        base = dict(dt=0.01, n_steps=10, n_trajectories=2, seed=1)
+        with pytest.raises(ValueError, match=field):
+            SdeConfig(**{**base, field: value})
+
+    def test_numpy_integers_accepted(self):
+        params = make_params(1.0, 0.1)
+        plain = SdeConfig(dt=0.01, n_steps=10, n_trajectories=3, seed=5, record_every=5)
+        numpy_ints = SdeConfig(dt=0.01, n_steps=np.int64(10), n_trajectories=np.int32(3),
+                               seed=np.uint64(5), record_every=np.int64(5))
+        assert (simulate_ensemble(params, plain).digest()
+                == simulate_ensemble(params, numpy_ints).digest())
+
+    @pytest.mark.parametrize("raw", ["two", "-3", "0", "1.5", ""])
+    def test_bad_thread_environment_rejected(self, raw, monkeypatch):
+        monkeypatch.setenv("WIGOSC_THREADS", raw)
+        cfg = SdeConfig(dt=0.01, n_steps=10, n_trajectories=2, seed=1)
+        with pytest.raises(ValueError, match="WIGOSC_THREADS"):
+            simulate_ensemble(make_params(1.0, 0.1), cfg)
+        # an explicit thread count does not consult the environment
+        simulate_ensemble(make_params(1.0, 0.1), dataclasses.replace(cfg, threads=2))
+
+    def test_sequence_start_rejected(self):
+        cfg = SdeConfig(dt=0.01, n_steps=10, n_trajectories=2, seed=1)
+        with pytest.raises(TypeError, match="PhasePoint"):
+            simulate_ensemble(make_params(1.0, 0.1), cfg, initial=(1.0, 0.0))
 
     def test_seed_range(self):
         # Philox key words >= 2**63 would pass through float64: 2**63 and
@@ -57,18 +89,6 @@ class TestDeterministicLimit:
             np.testing.assert_allclose(report.mean[i], expected, atol=4e-3)
         energy = report.mean[:, 0] ** 2 + report.mean[:, 1] ** 2
         assert np.max(np.abs(energy - 1.0)) < 2.5 * 0.005  # O(omega*dt) wobble
-
-    def test_explicit_scheme_inflates_volume(self):
-        params = ModelParams(mass=1.0, omega=1.0, beta=0.0, mu=0.0)
-        n = int(4 * math.pi / 0.01)
-        base = dict(dt=0.01, n_steps=n, n_trajectories=1, seed=7, record_every=n)
-        semi = simulate_ensemble(params, SdeConfig(**base), initial=PhasePoint(1.0, 0.0))
-        expl = simulate_ensemble(params, SdeConfig(scheme="explicit", **base),
-                                 initial=PhasePoint(1.0, 0.0))
-        e_semi = semi.mean[-1, 0] ** 2 + semi.mean[-1, 1] ** 2
-        e_expl = expl.mean[-1, 0] ** 2 + expl.mean[-1, 1] ** 2
-        assert abs(e_semi - 1.0) < 0.03
-        assert e_expl - 1.0 > 0.1  # exp(omega^2 dt t) - 1 ~ 13%
 
     def test_mean_envelope_decays_at_half_friction_rate(self):
         # noiseless displaced start recorded at full reduced periods
@@ -122,21 +142,34 @@ class TestMoments:
         np.testing.assert_allclose(ratio, 2.0, rtol=0.25)
 
     def test_weak_order_one(self):
-        # halving dt roughly halves the moment bias of the explicit scheme
-        from wigosc import propagator
+        # the semi-implicit chain's exact moments carry an O(dt) bias against
+        # the propagator, and the ensemble samples exactly that chain
         params = ModelParams(mass=1.0, omega=1.0, beta=0.1, theta=1.0)
         d = derive(params)
+        start = ground_state()
         t_end = 10.0  # beta*t = 1
         flow = classical_flow(d, t_end).matrix
-        exact = flow @ (0.5 * np.eye(2)) @ flow.T + propagator(d, t_end).cov_physical
+        exact = flow @ start.cov @ flow.T + propagator(d, t_end).cov_physical
         biases = []
         for dt in (0.02, 0.01):
-            cfg = SdeConfig(dt=dt, n_steps=int(round(t_end / dt)), n_trajectories=30000,
-                            seed=31, scheme="explicit", record_every=10 ** 9)
-            report = simulate_ensemble(params, cfg)
-            biases.append((np.trace(report.cov[-1]) - np.trace(exact)) / np.trace(exact))
+            _, cov = scheme_moments(params, dt, int(round(t_end / dt)), start.mean, start.cov)
+            biases.append((np.trace(cov) - np.trace(exact)) / np.trace(exact))
         assert biases[0] > 0 and biases[1] > 0
-        assert biases[0] / biases[1] == pytest.approx(2.0, abs=0.6)
+        assert biases[0] / biases[1] == pytest.approx(2.0, abs=0.3)
+
+        n, dt = 30000, 0.02
+        n_steps = int(round(t_end / dt))
+        report = simulate_ensemble(params, SdeConfig(dt=dt, n_steps=n_steps, n_trajectories=n,
+                                                     seed=31, record_every=n_steps))
+        mean, cov = scheme_moments(params, dt, n_steps, start.mean, start.cov)
+        diffs = (report.mean[-1, 0] - mean[0], report.mean[-1, 1] - mean[1],
+                 report.cov[-1, 0, 0] - cov[0, 0], report.cov[-1, 0, 1] - cov[0, 1],
+                 report.cov[-1, 1, 1] - cov[1, 1])
+        ses = (math.sqrt(cov[0, 0] / n), math.sqrt(cov[1, 1] / n),
+               cov[0, 0] * math.sqrt(2.0 / (n - 1)),
+               math.sqrt((cov[0, 0] * cov[1, 1] + cov[0, 1] ** 2) / (n - 1)),
+               cov[1, 1] * math.sqrt(2.0 / (n - 1)))
+        assert np.all(np.abs(np.array(diffs) / np.array(ses)) < 4.0), np.array(diffs) / ses
 
 
 class TestDeterminism:

@@ -171,6 +171,20 @@ class TestMeanAngle:
         state = evolve(ground_state(), d_default, 2.0)
         assert mean_angle(state) == pytest.approx(angle_oracle(state), abs=1e-8)
 
+    @pytest.mark.parametrize("cov", [np.zeros((2, 2)), np.array([[1.0, 1.0], [1.0, 1.0]])],
+                             ids=["point", "rank1"])
+    @pytest.mark.parametrize("mean", [np.zeros(2), np.array([0.5, 0.2])],
+                             ids=["centred", "displaced"])
+    def test_degenerate_state_rejected(self, cov, mean):
+        # the radial reduction inverts the covariance
+        with pytest.raises(ValueError, match="degenerate"):
+            mean_angle(Gaussian2D(mean, cov))
+
+    def test_phase_expectation_of_point_start_rejected(self, d_default):
+        with pytest.raises(ValueError, match="degenerate"):
+            phase_expectation(Gaussian2D(np.array([1.0, 0.0]), np.zeros((2, 2))),
+                              d_default, 0.0)
+
     def test_weak_damping_curve_tracks_frictionless_reference(self):
         # high temperature, low damping with D*B = 20 is nearly the
         # zero-friction run with free noise number 20
@@ -204,13 +218,6 @@ class TestThermalAngle:
         assert vals[0] == pytest.approx(PI2_3, rel=1e-9)  # uniform limit
         assert vals == sorted(vals)
         assert vals[-1] == pytest.approx(math.pi ** 2 / 2.0, rel=1e-3)
-
-    def test_physical_angle_is_uniform(self, d_default):
-        val = thermal_angle_expectation(lambda phi: phi * phi, d_default, 50.0,
-                                        physical=True)
-        assert val == pytest.approx(PI2_3, rel=1e-10)
-        one = thermal_angle_expectation(lambda phi: 1.0, d_default, 50.0, physical=True)
-        assert one == pytest.approx(1.0, abs=1e-12)
 
 
 class TestEnergyGeneratingFunction:

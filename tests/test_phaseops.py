@@ -231,7 +231,7 @@ class TestVarianceSeries:
     def test_bracket_contains_refined_value(self):
         # a short certified bracket must contain a much longer summation
         for m in (0, 1, 5, 8):
-            short = phase_variance_diagonal(m, tol=1.0, max_terms=60_000)
+            short = phase_variance_diagonal(m, tol=1.0)
             long = phase_variance_diagonal(m, tol=1e-8)
             assert abs(short.value - long.value) <= short.tail_bound
 
@@ -294,6 +294,25 @@ class TestVarianceSeries:
             phase_variance_diagonal(-1)
         with pytest.raises(ValueError):
             phase_variance_diagonal(3, kind="nonsense")
+
+    @pytest.mark.parametrize("beta_t", [-1.0, -math.inf, math.nan])
+    @pytest.mark.parametrize("call", [
+        lambda bt: phase_variance_diagonal(5, kind="physical", beta_t=bt),
+        lambda bt: variance_diagonal_table(5, extra=100, beta_t=bt),
+        lambda bt: physical_phase_matrix(4, bt),
+    ], ids=["row", "table", "matrix"])
+    def test_bad_beta_t_rejected(self, call, beta_t):
+        # a negative beta_t makes the tanh powers complex, and NaN would
+        # propagate into a silent NaN result
+        with pytest.raises(ValueError, match="beta_t"):
+            call(beta_t)
+
+    def test_infinite_beta_t_is_late_time_limit(self):
+        est = phase_variance_diagonal(5, kind="physical", beta_t=math.inf, tol=1e-7)
+        assert abs(est.value - PI2_4) <= est.tail_bound + 1e-12
+        values, bounds = variance_diagonal_table(5, extra=1000, beta_t=math.inf)
+        assert abs(values[5] - PI2_4) <= bounds[5]
+        assert np.all(np.isfinite(physical_phase_matrix(4, math.inf).values))
 
 
 class TestThermalPhaseVariance:
