@@ -159,7 +159,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
     spec = spectrum(canonical_phase_matrix(150))
     slack = spec.containment_slack(math.pi)
-    checks.append(("spectrum_in_band", slack == 0.0, f"slack={_fmt(slack)}"))
+    checks.append(("spectrum_in_band", slack == 0.0,
+                   f"slack={_fmt(slack)} bound={spec.residual:.2e}"))
 
     vcan = phase_variance_diagonal(1000, tol=1e-5)
     checks.append(("variance_canonical_limit", abs(vcan.value - PI2_3) < 0.02 * PI2_3,

@@ -37,6 +37,29 @@ def angle_matrix_loop(g: np.ndarray, fourier: Callable[[int], complex]) -> np.nd
     return out
 
 
+def eigenpair_spectrum(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """Eigenvalues by a full ``eigh`` solve, with the measured eigenpair residual.
+
+    ``residual`` is the largest ``|A v - w v|`` over the eigenpairs, summed by
+    ``hypot`` so that it does not overflow for ``|A| ~ 1e250``.  Oracle for
+    the values-only solve of :func:`wigosc.phaseops.spectrum`.
+    """
+    w, v = np.linalg.eigh(a)
+    return w, float(np.max(np.hypot.reduce(np.abs(a @ v - v * w), axis=0)))
+
+
+def exact_eigenvalues(a: np.ndarray, digits: int = 32) -> np.ndarray:
+    """Eigenvalues of the Hermitian ``a`` in ``digits``-digit arithmetic, ascending.
+
+    Needs ``mpmath``; the rounding to float adds at most half an ulp.
+    """
+    import mpmath
+
+    with mpmath.workdps(digits):
+        ev = mpmath.eighe(mpmath.matrix(a.tolist()), eigvals_only=True)
+        return np.sort([float(x) for x in ev])
+
+
 @dataclass(frozen=True)
 class TimeGenerator:
     """Coefficients of the quadratic generator of the motion at one instant.

@@ -106,6 +106,8 @@ class TestValidateCommand:
         text = out.read_text()
         assert "FAIL" not in text
         assert "oracle_moments" in text
+        band = next(line for line in text.splitlines() if "spectrum_in_band" in line)
+        assert "slack=0" in band and "bound=" in band
         assert text.strip().endswith("checks passed")
 
     def test_negative_control_fails(self, tmp_path):

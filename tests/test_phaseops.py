@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import eval_genlaguerre
 
-from oracles import angle_matrix_loop
+from oracles import angle_matrix_loop, eigenpair_spectrum, exact_eigenvalues
 from wigosc import (SizeTooLarge, angle_operator_matrix, canonical_phase_matrix,
                     delta_matrix_element, g_coefficient, g_matrix, phase_fourier,
                     phase_variance_diagonal, physical_phase_matrix, spectrum,
@@ -218,9 +221,95 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             spectrum(bad)
         # HermitianMatrix wrapper is bypassed here on purpose: raw array input
+        # the defect is measured against the largest entry, so scale is no cover
+        with pytest.raises(ValueError):
+            spectrum(bad * 1e-13)
 
-    def test_residual_is_small(self):
-        assert spectrum(canonical_phase_matrix(100)).residual < 1e-12
+    @pytest.mark.parametrize("bad", [np.ones(3), np.zeros((0, 0)), np.ones((2, 3)),
+                                     np.zeros((2, 2, 2))], ids=["1d", "empty", "2x3", "3d"])
+    def test_malformed_input_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-empty square"):
+            spectrum(bad)
+
+    @pytest.mark.parametrize("entry", [math.inf, -math.inf, math.nan])
+    def test_non_finite_entry_rejected(self, entry):
+        a = canonical_phase_matrix(3).values.copy()
+        a[1, 1] = entry
+        with pytest.raises(ValueError, match="non-finite"):
+            spectrum(a)
+
+    def test_subnormal_matrix_rejected(self):
+        with pytest.raises(ValueError, match="subnormal"):
+            spectrum(np.full((2, 2), 1e-310))
+        assert spectrum(np.zeros((2, 2))).residual == 0.0
+
+    def test_certificate_is_a_priori_bound(self):
+        spec = spectrum(canonical_phase_matrix(100))
+        eps = np.finfo(float).eps
+        assert spec.residual == 4 * 100 * eps * float(np.max(np.abs(spec.eigenvalues)))
+        assert spec.residual < 1e-12
+
+    def test_certificate_covers_exact_eigenvalues(self):
+        # small random matrices with rows scaled over 7 decades, against
+        # 32-digit eigenvalues; a bound of n * eps * ||A|| fails here
+        pytest.importorskip("mpmath")
+        rng = np.random.default_rng(3)
+        for trial in range(300):
+            n = 2 + trial % 5
+            m = ((rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+                 * np.exp(rng.uniform(-8.0, 8.0, (n, 1))))
+            a = (m + m.conj().T) / 2.0
+            spec = spectrum(a)
+            assert np.all(np.abs(spec.eigenvalues - exact_eigenvalues(a)) <= spec.residual)
+
+    def test_containment_is_widened_by_certificate(self):
+        spec = spectrum(canonical_phase_matrix(150))
+        top = float(np.max(np.abs(spec.eigenvalues)))
+        assert spec.containment_slack(top) == pytest.approx(spec.residual, rel=1e-3)
+        assert spec.containment_slack(top + spec.residual) == 0.0
+
+    @pytest.mark.parametrize("case", ["tiny_norm", "underflowing_couplings"])
+    def test_certificate_holds_where_squares_underflow(self, case):
+        # unscaled and unflushed, the values-only solve erred by 44x and 5e13x
+        # the certificate on these two matrices
+        pytest.importorskip("mpmath")
+        if case == "tiny_norm":
+            a = np.full((8, 8), 3.45e-244, dtype=complex)
+            a[2, 5], a[5, 2] = 1.39e-210j, -1.39e-210j
+        else:
+            rng = np.random.default_rng(0)
+            m = (rng.uniform(-1, 1, (3, 3)) + 1j * rng.uniform(-1, 1, (3, 3))) * 1e-160
+            m[0, 1] += 50.0
+            a = (m + m.conj().T) / 2.0
+        spec = spectrum(a)
+        assert np.all(np.abs(spec.eigenvalues - exact_eigenvalues(a)) <= spec.residual)
+
+    @pytest.mark.parametrize("n", [1, 2, 150, 1000])
+    @pytest.mark.parametrize("beta_t", [None, 0.0, 2.0, 5.0, 800.0],
+                             ids=["canonical", "bt0", "bt2", "bt5", "bt800"])
+    def test_certificate_covers_eigenpair_oracle(self, n, beta_t):
+        mat = canonical_phase_matrix(n) if beta_t is None else physical_phase_matrix(n, beta_t)
+        _assert_certified(mat.values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 40).flatmap(lambda n: hnp.arrays(
+        np.float64, (2, n, n), elements=st.floats(-1e3, 1e3, allow_subnormal=False))),
+        st.sampled_from([1e-250, 1e-150, 1.0, 1e150, 1e250]))
+    def test_certificate_covers_random_hermitian(self, parts, scale):
+        # the scales reach where LAPACK's values-only solve loses digits unless
+        # spectrum rescales first (8 digits at norm 1e-210)
+        m = (parts[0] + 1j * parts[1]) * scale
+        a = (m + m.conj().T) / 2.0
+        assume(not 0.0 < np.max(np.abs(a)) < np.finfo(float).tiny)
+        _assert_certified(a)
+
+
+def _assert_certified(a):
+    """Each eigenvalue of ``spectrum`` is within its certificate of the ``eigh`` oracle."""
+    spec = spectrum(a)
+    w, oracle_residual = eigenpair_spectrum(a)
+    assert np.all(np.abs(spec.eigenvalues - w) <= spec.residual)
+    assert oracle_residual <= spec.residual
 
 
 class TestVarianceSeries:
