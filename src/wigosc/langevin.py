@@ -10,6 +10,13 @@ keyed by ``(seed, trajectory_index)``, trajectories are processed in blocks
 of a fixed size, and block partial sums are merged in index order.  Results
 are therefore bit-identical across runs and across worker-thread counts.
 
+Noise layout: per chunk of steps, each generator of a group fills one
+contiguous row of a small ``(group, steps)`` tile; one multiply per group
+scales the tile by the noise amplitude and transposes it into a step-major
+``(steps, block)`` buffer, so each step reads one contiguous row.  Writing
+each stream straight into a column of that buffer strides by a whole row
+per normal; that took 0.20 s per 2500 x 4096 chunk against 0.12 s.
+
 The one-step method is the semi-implicit (symplectic) Euler-Maruyama update:
 the momentum kick uses the old position, the position drift the new momentum.
 Its volume error is only ``O((beta*dt)**2)`` per step; the fully explicit
@@ -26,6 +33,7 @@ import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -44,7 +52,12 @@ __all__ = [
 ]
 
 _BLOCK = 4096      # trajectories per block; fixed so the reduction order is fixed
-_CHUNK = 2500      # noise increments drawn per generator call
+# Steps per noise chunk and generators per tile: each generator fills a
+# contiguous _CHUNK-long row of a (_GROUP, _CHUNK) tile (4 MB), which one
+# scaled transpose moves into the block's (_CHUNK, _BLOCK) step-major buffer.
+# Neither size changes any result: each stream is read in the same order.
+_CHUNK = 1000
+_GROUP = 512
 
 
 def default_threads() -> int:
@@ -102,7 +115,13 @@ class SdeConfig:
 
 @dataclass(frozen=True)
 class MomentReport:
-    """Per-time ensemble moments of the physical pair ``(X, y)``."""
+    """Per-time ensemble moments of the physical pair ``(X, y)``.
+
+    ``noise_s`` and ``step_s`` are the seconds spent drawing and laying out
+    the noise and stepping the trajectories, summed over blocks (so across
+    threads they can add up to more than the wall time).  They are cost
+    records, not results: :meth:`digest` leaves them out.
+    """
 
     times: np.ndarray
     mean: np.ndarray          # (nout, 2)
@@ -114,6 +133,8 @@ class MomentReport:
     config: SdeConfig
     initial_mean: np.ndarray  # (2,), canonical == physical at t = 0
     initial_cov: np.ndarray   # (2, 2)
+    noise_s: float
+    step_s: float
 
     def canonical_mean(self) -> np.ndarray:
         """Means of the canonical pair ``(x, y) = (X*exp(beta*t), y)``."""
@@ -157,10 +178,13 @@ def _start_moments(initial) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
 
 
 def _run_block(block_index: int, params: ModelParams, cfg: SdeConfig, mean0: np.ndarray,
-               root: np.ndarray | None, rec_idx: np.ndarray) -> np.ndarray:
-    """Simulate one block of trajectories; return (nout, 5) moment sums.
+               root: np.ndarray | None,
+               rec_idx: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Simulate one block of trajectories; return ``(sums, noise_s, step_s)``.
 
-    Column order: X, y, X*X, X*y, y*y, summed over the block's trajectories.
+    ``sums`` is (nout, 5) with column order X, y, X*X, X*y, y*y, summed over
+    the block's trajectories; ``noise_s`` and ``step_s`` are the seconds spent
+    filling and transposing the noise and stepping.
     """
     m, w, b = params.mass, params.omega, params.beta
     hbar = params.hbar
@@ -198,22 +222,36 @@ def _run_block(block_index: int, params: ModelParams, cfg: SdeConfig, mean0: np.
 
     if 0 in rec_set:
         record(rec_set[0])
+    chunk = min(_CHUNK, cfg.n_steps)
+    noise = np.empty((chunk, nb))
+    tile = np.empty((min(_GROUP, nb), chunk))
+    tmp = np.empty(nb)
+    noise_s = step_s = 0.0
     step = 0
     while step < cfg.n_steps:
         ns = min(_CHUNK, cfg.n_steps - step)
-        noise = np.empty((ns, nb))
-        for i, gen in enumerate(gens):
-            noise[:, i] = gen.standard_normal(ns)
+        for j0 in range(0, nb, _GROUP):
+            t0 = perf_counter()
+            j1 = min(j0 + _GROUP, nb)
+            rows = tile[:j1 - j0, :ns]
+            for row, gen in zip(rows, gens[j0:j1]):
+                gen.standard_normal(out=row)
+            np.multiply(rows.T, sq, out=noise[:ns, j0:j1])
+            noise_s += perf_counter() - t0
+        t0 = perf_counter()
         for s in range(ns):
             p *= c_fric
-            p += c_spring * q
-            p += sq * noise[s]
-            q += p * dtm
+            np.multiply(q, c_spring, out=tmp)
+            p += tmp
+            p += noise[s]
+            np.multiply(p, dtm, out=tmp)
+            q += tmp
             step += 1
             slot = rec_set.get(step)
             if slot is not None:
                 record(slot)
-    return sums
+        step_s += perf_counter() - t0
+    return sums, noise_s, step_s
 
 
 def simulate_ensemble(params: ModelParams, cfg: SdeConfig,
@@ -233,11 +271,14 @@ def simulate_ensemble(params: ModelParams, cfg: SdeConfig,
     threads = cfg.threads if cfg.threads > 0 else default_threads()
 
     sums = np.zeros((len(rec_idx), 5))
+    noise_s = step_s = 0.0
     with ThreadPoolExecutor(max_workers=threads) as pool:
         # map yields in block order, so the merge order is fixed
-        for part in pool.map(lambda i: _run_block(i, params, cfg, mean0, root, rec_idx),
-                             range(n_blocks)):
+        for part, block_noise_s, block_step_s in pool.map(
+                lambda i: _run_block(i, params, cfg, mean0, root, rec_idx), range(n_blocks)):
             sums += part
+            noise_s += block_noise_s
+            step_s += block_step_s
 
     n = cfg.n_trajectories
     mean = sums[:, :2] / n
@@ -268,6 +309,8 @@ def simulate_ensemble(params: ModelParams, cfg: SdeConfig,
         config=cfg,
         initial_mean=mean0,
         initial_cov=cov0,
+        noise_s=noise_s,
+        step_s=step_s,
     )
 
 

@@ -252,6 +252,21 @@ class Spectrum:
         return float(max(0.0, np.max(np.abs(self.eigenvalues)) + self.residual - bound))
 
 
+def _hermitian_defect(a: np.ndarray) -> float:
+    """``max|a - a^H|``, taken over the upper triangle in blocks of 64 rows.
+
+    ``a - a^H`` is anti-Hermitian, so each lower entry has exactly the
+    magnitude of its mirror: the result equals the full formula bit for bit
+    without its two n x n complex temporaries.
+    """
+    n = a.shape[0]
+    defect = 0.0
+    for i0 in range(0, n, 64):
+        rows = slice(i0, i0 + 64)
+        defect = max(defect, float(np.max(np.abs(a[rows, i0:] - a[i0:, rows].conj().T))))
+    return defect
+
+
 def spectrum(matrix: HermitianMatrix | np.ndarray) -> Spectrum:
     """Full eigenvalue set of a Hermitian matrix, with an a-priori error bound.
 
@@ -279,7 +294,7 @@ def spectrum(matrix: HermitianMatrix | np.ndarray) -> Spectrum:
     exponent = math.frexp(scale)[1]
     small = mag < math.ldexp(1.0, exponent - 61)
     a = a * math.ldexp(1.0, -exponent)
-    herm_defect = float(np.max(np.abs(a - a.conj().T)))
+    herm_defect = _hermitian_defect(a)
     if herm_defect > 1e-12:
         raise ValueError(f"matrix is not Hermitian (relative defect {herm_defect:.3e})")
     a[small] = 0.0

@@ -12,8 +12,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.random import Generator, Philox
 
-from wigosc import DerivedParams, ModelParams
+from wigosc import DerivedParams, ModelParams, SdeConfig
+from wigosc.langevin import _BLOCK
 
 _I_POW = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
 
@@ -151,3 +153,63 @@ def scheme_moments(params: ModelParams, dt: float, n_steps: int, mean0: np.ndarr
         mean = step @ mean
         cov = step @ cov @ step.T + noise
     return mean, cov
+
+
+def run_block_columns(block_index: int, params: ModelParams, cfg: SdeConfig,
+                      mean0: np.ndarray, root: np.ndarray | None,
+                      rec_idx: np.ndarray) -> np.ndarray:
+    """(nout, 5) moment sums of one block, with each stream written into a column.
+
+    The plain layout of the Langevin oracle's block loop: every chunk of
+    2500 steps draws each trajectory's normals into its own column of a
+    step-major buffer, and each step computes its products afresh.  Exact
+    oracle for the row-filled, tiled-transpose noise path of
+    ``wigosc.langevin._run_block``: same streams, same arithmetic, so the
+    sums must agree bit for bit.
+    """
+    m, w, b = params.mass, params.omega, params.beta
+    alpha = math.sqrt(m * w / params.hbar)
+    scale_p = params.hbar * alpha
+    dt = cfg.dt
+    sq = math.sqrt(params.noise_strength * dt)
+    c_fric = 1.0 - b * dt
+    c_spring = -m * w * w * dt
+    dtm = dt / m
+
+    lo = block_index * _BLOCK
+    nb = min(_BLOCK, cfg.n_trajectories - lo)
+    gens = [Generator(Philox(key=[cfg.seed, lo + i])) for i in range(nb)]
+    q = np.full(nb, mean0[1] / alpha)
+    p = np.full(nb, mean0[0] * scale_p)
+    if root is not None:
+        for i, gen in enumerate(gens):
+            x, y = mean0 + root @ gen.standard_normal(2)
+            q[i], p[i] = y / alpha, x * scale_p
+
+    sums = np.zeros((len(rec_idx), 5))
+    rec_set = {int(s): k for k, s in enumerate(rec_idx)}
+
+    def record(slot: int) -> None:
+        x_dim = p / scale_p
+        y_dim = alpha * q
+        sums[slot] = (x_dim.sum(), y_dim.sum(), (x_dim * x_dim).sum(),
+                      (x_dim * y_dim).sum(), (y_dim * y_dim).sum())
+
+    if 0 in rec_set:
+        record(rec_set[0])
+    step = 0
+    while step < cfg.n_steps:
+        ns = min(2500, cfg.n_steps - step)
+        noise = np.empty((ns, nb))
+        for i, gen in enumerate(gens):
+            noise[:, i] = gen.standard_normal(ns)
+        for s in range(ns):
+            p *= c_fric
+            p += c_spring * q
+            p += sq * noise[s]
+            q += p * dtm
+            step += 1
+            slot = rec_set.get(step)
+            if slot is not None:
+                record(slot)
+    return sums

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import scheme_moments
+from oracles import run_block_columns, scheme_moments
+from wigosc import langevin
 from wigosc import (Gaussian2D, ModelParams, ParameterMismatch, PhasePoint, SdeConfig,
                     StepTooLarge, classical_flow, compare_to_propagator, derive,
                     ground_state, propagator, simulate_ensemble)
@@ -172,7 +173,56 @@ class TestMoments:
         assert np.all(np.abs(np.array(diffs) / np.array(ses)) < 4.0), np.array(diffs) / ses
 
 
+_CORRELATED = Gaussian2D(np.array([0.7, -0.4]), np.array([[1.3, 0.4], [0.4, 0.8]]))
+_STARTS = {"ground": None, "gaussian": _CORRELATED, "point": PhasePoint(1.0, 0.5)}
+# every trajectory count meets every step count; starts and strides cycle so
+# that each (start, stride) pair occurs too
+_LAYOUT_CASES = [(n, steps, list(_STARTS)[(i + j) % 3], (0, 1, 7)[(i + 2 * j) % 3])
+                 for i, n in enumerate((1, 511, 513, 4097))
+                 for j, steps in enumerate((1, 999, 1000, 1001, 2501))]
+
+
+class TestNoiseLayout:
+    @pytest.mark.parametrize("n, steps, start, record_every", _LAYOUT_CASES)
+    def test_block_sums_equal_column_fill_oracle(self, n, steps, start, record_every):
+        # group and chunk edges (511/513 trajectories, 999/1000/1001 steps)
+        # must not change a single bit of any block's sums
+        params = ModelParams(mass=1.0, omega=1.0, beta=0.25, theta=1.5)
+        cfg = SdeConfig(dt=0.01, n_steps=steps, n_trajectories=n, seed=77,
+                        record_every=record_every)
+        mean0, _, root = langevin._start_moments(_STARTS[start])
+        rec_idx = cfg.record_indices()
+        for block in range(-(-n // langevin._BLOCK)):
+            sums, _, _ = langevin._run_block(block, params, cfg, mean0, root, rec_idx)
+            expected = run_block_columns(block, params, cfg, mean0, root, rec_idx)
+            assert np.array_equal(sums, expected), (block, np.max(np.abs(sums - expected)))
+
+    def test_cost_split_recorded_outside_digest(self):
+        params = ModelParams(mass=1.0, omega=1.0, beta=0.25, theta=1.5)
+        cfg = SdeConfig(dt=0.01, n_steps=50, n_trajectories=600, seed=3, threads=2)
+        report = simulate_ensemble(params, cfg)
+        assert report.noise_s > 0.0
+        assert report.step_s > 0.0
+        other = dataclasses.replace(report, noise_s=2.0 * report.noise_s, step_s=0.0)
+        assert other.digest() == report.digest()
+
+
 class TestDeterminism:
+    def test_golden_digest(self):
+        """The digest of one fixed ensemble is pinned across versions.
+
+        Equal digests across thread counts do not show that a later version
+        still draws the same numbers; this literal does.  Changing it is a
+        declared contract change of the Monte-Carlo streams (ROADMAP item
+        4(c)) that CHANGES.md must state and justify, not a value to refresh.
+        """
+        params = ModelParams.from_dimensionless(5.0, 0.25)
+        for threads in (1, 3):
+            cfg = SdeConfig(dt=0.005, n_steps=2501, n_trajectories=4097, seed=12345,
+                            record_every=7, threads=threads)
+            assert simulate_ensemble(params, cfg, initial=_CORRELATED).digest() == (
+                "77fa29fc23fe1a32671a567d95a6953e035406da6cca087495236b5617f829f0")
+
     def test_bit_identical_across_runs_and_threads(self):
         params = ModelParams(mass=1.0, omega=1.0, beta=0.25, theta=1.5)
         base = dict(dt=0.01, n_steps=400, n_trajectories=6000, seed=99, record_every=100)

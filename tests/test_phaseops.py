@@ -225,6 +225,19 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             spectrum(bad * 1e-13)
 
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 200])
+    def test_blocked_hermitian_defect_equals_full_formula(self, n):
+        # the defect decides accept/reject in spectrum, so it must be the
+        # same number, not merely close
+        from wigosc.phaseops import _hermitian_defect
+        rng = np.random.default_rng(n)
+        for noise in (0.0, 1e-15, 1e-12, 1e-3):
+            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            a = (m + m.conj().T) / 2.0
+            a += noise * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            for mat in (a, a.real.copy()):
+                assert _hermitian_defect(mat) == float(np.max(np.abs(mat - mat.conj().T)))
+
     @pytest.mark.parametrize("bad", [np.ones(3), np.zeros((0, 0)), np.ones((2, 3)),
                                      np.zeros((2, 2, 2))], ids=["1d", "empty", "2x3", "3d"])
     def test_malformed_input_rejected(self, bad):
