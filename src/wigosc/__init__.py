@@ -19,9 +19,9 @@ __version__ = "0.1.0"
 from .errors import (ConvergenceFailure, NonPositiveParameter, OverdampedUnsupported,
                      ParameterMismatch, QuadratureNotConverged, RequiresFriction,
                      SizeTooLarge, StepTooLarge, WigoscError)
-from .gaussian import (Gaussian2D, NoiseQuadraticForm, PropagatorKernel, coherent_state,
-                       evolve, ground_state, noise_form, noise_form_longtime, propagator,
-                       state_overlap, thermal_state)
+from .gaussian import (Gaussian2D, PropagatorKernel, coherent_state, evolve, ground_state,
+                       noise_form, noise_form_longtime, propagator, state_overlap,
+                       thermal_state)
 from .langevin import (ComparisonVerdict, MomentReport, SdeConfig, compare_to_propagator,
                        simulate_ensemble)
 from .model import AffineFlow, DerivedParams, ModelParams, PhasePoint, classical_flow, derive
@@ -43,7 +43,7 @@ __all__ = [
     # model
     "ModelParams", "DerivedParams", "PhasePoint", "AffineFlow", "derive", "classical_flow",
     # gaussian engine
-    "Gaussian2D", "NoiseQuadraticForm", "PropagatorKernel", "ground_state",
+    "Gaussian2D", "PropagatorKernel", "ground_state",
     "coherent_state", "noise_form", "noise_form_longtime", "propagator", "evolve",
     "thermal_state", "state_overlap",
     # observables

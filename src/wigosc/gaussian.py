@@ -25,7 +25,6 @@ from .model import AffineFlow, DerivedParams, classical_flow
 
 __all__ = [
     "Gaussian2D",
-    "NoiseQuadraticForm",
     "PropagatorKernel",
     "ground_state",
     "coherent_state",
@@ -38,6 +37,35 @@ __all__ = [
 ]
 
 _DEGENERATE_TOL = 1e-300
+
+
+def _det(m) -> float:
+    """Determinant of the symmetric 2x2 ``m``, pivoting on the larger diagonal entry.
+
+    ``a*(d - b*(b/a))`` overflows only when the determinant itself does; the
+    plain ``a*d - b*b`` meets ``inf - inf`` first.  For positive
+    semidefinite ``m``, ``|b/a| <= 1``, so the result is never NaN.
+    """
+    a, b, d = float(m[0, 0]), float(m[0, 1]), float(m[1, 1])
+    if abs(d) > abs(a):
+        a, d = d, a
+    return a * (d - b * (b / a)) if a != 0.0 else -b * b
+
+
+def _inverse(m, det: float) -> tuple[float, float, float]:
+    """Entries ``(i00, i01, i11)`` of the symmetric 2x2 ``m``'s inverse: adjugate over ``det``."""
+    return float(m[1, 1]) / det, -float(m[0, 1]) / det, float(m[0, 0]) / det
+
+
+def _min_eig(m) -> float:
+    """Smaller eigenvalue of the symmetric 2x2 ``m``, in closed form."""
+    a, b, d = float(m[0, 0]), float(m[0, 1]), float(m[1, 1])
+    return (a + d) / 2.0 - math.hypot((a - d) / 2.0, b)
+
+
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -61,21 +89,21 @@ class Gaussian2D:
 
     def __post_init__(self):
         mean = np.array(self.mean, dtype=float).reshape(2)
-        cov = np.array(self.cov, dtype=float).reshape(2, 2)
-        if not np.all(np.isfinite(mean)) or not np.all(np.isfinite(cov)):
+        (a, b), (c, d) = np.array(self.cov, dtype=float).reshape(2, 2).tolist()
+        if not all(map(math.isfinite, (*mean.tolist(), a, b, c, d))):
             raise ValueError("mean and cov must be finite")
-        asym = abs(cov[0, 1] - cov[1, 0])
-        scale = max(1.0, float(np.max(np.abs(cov))))
+        asym = abs(b - c)
+        scale = max(1.0, abs(a), abs(b), abs(c), abs(d))
         if asym > 1e-12 * scale:
             raise ValueError(f"covariance not symmetric (asymmetry {asym:.3e})")
-        cov = (cov + cov.T) / 2.0
-        evals = np.linalg.eigvalsh(cov)
-        if evals[0] < -1e-12 * scale:
-            raise ValueError(f"covariance not positive semidefinite (min eig {evals[0]:.3e})")
-        mean.setflags(write=False)
-        cov.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
+        off = (b + c) / 2.0
+        cov = np.array([[a, off], [off, d]])
+        min_eig = _min_eig(cov / scale)
+        if min_eig < -1e-12:
+            raise ValueError(f"covariance not positive semidefinite "
+                             f"(min eig {min_eig * scale:.3e})")
+        object.__setattr__(self, "mean", _readonly(mean))
+        object.__setattr__(self, "cov", _readonly(cov))
 
     @property
     def mass(self) -> float:
@@ -83,17 +111,17 @@ class Gaussian2D:
 
     @property
     def is_degenerate(self) -> bool:
-        return float(np.linalg.det(self.cov)) <= _DEGENERATE_TOL
+        return _det(self.cov) <= _DEGENERATE_TOL
 
     def density(self, x, y):
         """Density value(s) at ``(x, y)``; requires a non-degenerate covariance."""
-        det = float(np.linalg.det(self.cov))
+        det = _det(self.cov)
         if det <= _DEGENERATE_TOL:
             raise ValueError("degenerate covariance has no pointwise density")
-        inv = np.linalg.inv(self.cov)
+        i00, i01, i11 = _inverse(self.cov, det)
         dx = np.asarray(x, dtype=float) - self.mean[0]
         dy = np.asarray(y, dtype=float) - self.mean[1]
-        quad = inv[0, 0] * dx * dx + 2.0 * inv[0, 1] * dx * dy + inv[1, 1] * dy * dy
+        quad = i00 * dx * dx + 2.0 * i01 * dx * dy + i11 * dy * dy
         return self.mass * np.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det))
 
     def physical(self, beta: float, t: float) -> "Gaussian2D":
@@ -107,32 +135,20 @@ class Gaussian2D:
         return Gaussian2D(scale @ self.mean, scale @ self.cov @ scale, self.log_mass)
 
 
+_GROUND = Gaussian2D(np.zeros(2), 0.5 * np.eye(2))
+
+
 def ground_state() -> Gaussian2D:
-    """Minimum-uncertainty isotropic state: mean 0, covariance I/2, mass 1."""
-    return Gaussian2D(np.zeros(2), 0.5 * np.eye(2))
+    """Minimum-uncertainty isotropic state: mean 0, covariance I/2, mass 1.
+
+    Always the same instance; it is frozen and its arrays are read-only.
+    """
+    return _GROUND
 
 
 def coherent_state(x0: float, y0: float) -> Gaussian2D:
     """Displaced minimum-uncertainty state centred at ``(x0, y0)``."""
     return Gaussian2D(np.array([x0, y0], dtype=float), 0.5 * np.eye(2))
-
-
-@dataclass(frozen=True)
-class NoiseQuadraticForm:
-    """Accumulated-noise quadratic form over the dual variables ``(a, b)``.
-
-    The ensemble average over white-noise histories contributes
-    ``exp(-0.5 * (a, b) Q (a, b)^T)`` to the Fourier representation of the
-    propagator; ``Q`` is positive semidefinite and vanishes at ``t = 0``.
-    """
-
-    matrix: np.ndarray
-    elapsed: float
-
-    def __post_init__(self):
-        mat = np.array(self.matrix, dtype=float).reshape(2, 2)
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
 
 
 def _damped_trig_integrals(c: float, T: float) -> tuple[float, float, float]:
@@ -150,11 +166,16 @@ def _damped_trig_integrals(c: float, T: float) -> tuple[float, float, float]:
     return (base - cos_part) / 2.0, sin_part / 2.0, (base + cos_part) / 2.0
 
 
-def noise_form(d: DerivedParams, t: float) -> NoiseQuadraticForm:
-    """Noise quadratic form accumulated between 0 and ``t``.
+def noise_form(d: DerivedParams, t: float) -> np.ndarray:
+    """Noise quadratic form ``Q`` accumulated between 0 and ``t``, read-only 2x2.
 
-    The integrand couples ``a`` to the position response ``sin`` and ``b`` to
-    the momentum response ``cos - g*sin`` (``g = beta/(2*omega_damped)``),
+    ``Q`` acts on the dual variables ``(a, b)``: the ensemble average over
+    white-noise histories contributes ``exp(-0.5 * (a, b) Q (a, b)^T)`` to
+    the Fourier representation of the propagator.  It is positive
+    semidefinite and vanishes at ``t = 0``.
+
+    The integrand couples ``a`` to the position response ``sin`` and ``b``
+    to the momentum response ``cos - g*sin`` (``g = beta/(2*omega_damped)``),
     each damped by ``exp(-beta * lag)``.
     """
     if t < 0:
@@ -168,39 +189,28 @@ def noise_form(d: DerivedParams, t: float) -> NoiseQuadraticForm:
     q_aa = n * i_ss
     q_ab = n * (i_sc - g * i_ss)
     q_bb = n * (i_cc - 2.0 * g * i_sc + g * g * i_ss)
-    return NoiseQuadraticForm(np.array([[q_aa, q_ab], [q_ab, q_bb]]), elapsed=float(t))
+    return _readonly(np.array([[q_aa, q_ab], [q_ab, q_bb]]))
 
 
-def noise_form_longtime(d: DerivedParams) -> NoiseQuadraticForm:
+def noise_form_longtime(d: DerivedParams) -> np.ndarray:
     """Stationary limit of :func:`noise_form` (friction must be positive)."""
     if d.beta == 0.0:
         raise RequiresFriction("the noise form has no finite long-time limit at beta = 0")
     od, w, b, n = d.omega_damped, d.omega, d.beta, d.noise_number
-    q = np.diag([n * od ** 3 / (2.0 * w * w * b), n * od / (2.0 * b)])
-    return NoiseQuadraticForm(q, elapsed=math.inf)
+    return _readonly(np.diag([n * od ** 3 / (2.0 * w * w * b), n * od / (2.0 * b)]))
 
 
 @dataclass(frozen=True)
 class PropagatorKernel:
-    """Noise-averaged Gaussian transition kernel from ``start`` to ``end``.
+    """Noise-averaged Gaussian transition kernel over ``flow``'s time span.
 
     Acting on a state: the mean moves with the canonical flow and the
-    canonical covariance picks up ``cov`` additively.  ``degenerate`` marks
-    the delta-kernel limit at zero lag.
+    canonical covariance picks up ``cov`` additively.
     """
 
     flow: AffineFlow
     cov: np.ndarray
     cov_physical: np.ndarray
-    degenerate: bool
-
-    @property
-    def start(self) -> float:
-        return self.flow.start
-
-    @property
-    def end(self) -> float:
-        return self.flow.end
 
 
 def propagator(d: DerivedParams, t: float, start: float = 0.0) -> PropagatorKernel:
@@ -216,18 +226,14 @@ def propagator(d: DerivedParams, t: float, start: float = 0.0) -> PropagatorKern
         raise ValueError(f"t={t!r} must be >= start={start!r}")
     tau = t - start
     flow = classical_flow(d, tau, start=start)
-    q = noise_form(d, tau).matrix
+    (q_aa, q_ab), (_, q_bb) = noise_form(d, tau).tolist()
     e2 = d.eps ** 2
-    cov_phys = np.array([[e2 * q[1, 1], q[0, 1]],
-                         [q[0, 1], q[0, 0] / e2]])
+    xx, yy = e2 * q_bb, q_aa / e2
     s = math.exp(d.beta * t)
-    scale = np.array([[s, 0.0], [0.0, 1.0]])
-    cov_can = scale @ cov_phys @ scale
     return PropagatorKernel(
         flow=flow,
-        cov=cov_can,
-        cov_physical=cov_phys,
-        degenerate=bool(np.all(q == 0.0)),
+        cov=np.array([[(s * xx) * s, s * q_ab], [q_ab * s, yy]]),
+        cov_physical=np.array([[xx, q_ab], [q_ab, yy]]),
     )
 
 
@@ -266,13 +272,14 @@ def state_overlap(a: Gaussian2D, b: Gaussian2D) -> float:
     other density evaluated at its location.
     """
     csum = a.cov + b.cov
-    det = float(np.linalg.det(csum))
+    det = _det(csum)
     if det <= _DEGENERATE_TOL:
         for delta, other in ((a, b), (b, a)):
             if np.all(delta.cov == 0.0) and not other.is_degenerate:
                 return float(2.0 * math.pi * delta.mass
                              * other.density(delta.mean[0], delta.mean[1]))
         raise ValueError("overlap of two degenerate states is not defined")
-    diff = a.mean - b.mean
-    quad = float(diff @ np.linalg.solve(csum, diff))
+    i00, i01, i11 = _inverse(csum, det)
+    dx, dy = (a.mean - b.mean).tolist()
+    quad = i00 * dx * dx + 2.0 * i01 * dx * dy + i11 * dy * dy
     return a.mass * b.mass * math.exp(-0.5 * quad) / math.sqrt(det)

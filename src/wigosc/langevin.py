@@ -41,7 +41,7 @@ from scipy.special import ndtr, ndtri
 
 from .errors import ParameterMismatch, StepTooLarge
 from .gaussian import Gaussian2D, ground_state, propagator
-from .model import DerivedParams, ModelParams, PhasePoint, classical_flow
+from .model import DerivedParams, ModelParams, PhasePoint
 
 __all__ = [
     "SdeConfig",
@@ -370,8 +370,8 @@ def compare_to_propagator(report: MomentReport, d: DerivedParams,
     nout = len(report.times)
     z = np.zeros((nout, 5))
     for i, t in enumerate(report.times):
-        flow = classical_flow(d, float(t)).matrix
         kern = propagator(d, float(t))
+        flow = kern.flow.matrix
         mean_a = flow @ mean0
         cov_a = flow @ cov0 @ flow.T + kern.cov_physical
         se_mx = math.sqrt(max(cov_a[0, 0], 0.0) / n)

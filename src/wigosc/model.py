@@ -219,10 +219,6 @@ class AffineFlow:
         return self.start + self.tau
 
     @property
-    def det(self) -> float:
-        return float(np.linalg.det(self.matrix))
-
-    @property
     def canonical(self) -> np.ndarray:
         """Map for the canonical pair ``(x, y)``; determinant 1."""
         scale_out = math.exp(self.beta * self.end)

@@ -10,11 +10,11 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-import numpy as np
 from scipy.special import erf, erfcx
 
-from .errors import RequiresFriction
-from .gaussian import _DEGENERATE_TOL, Gaussian2D, evolve, ground_state, state_overlap
+from .errors import QuadratureNotConverged, RequiresFriction
+from .gaussian import (_DEGENERATE_TOL, Gaussian2D, _det, _inverse, evolve, ground_state,
+                       state_overlap)
 from .model import DerivedParams
 from .quadrature import integrate_angular
 
@@ -69,6 +69,11 @@ def nofriction_survival(d: DerivedParams, t: float) -> float:
                            - (no / 2.0) ** 2 * math.sin(wt) ** 2)
 
 
+def _lost_weight(phi: float, q: float) -> QuadratureNotConverged:
+    return QuadratureNotConverged(f"angle weight q(phi={phi!r}) = {q!r} <= 0: state too eccentric",
+                                  math.nan, math.inf, math.nan)
+
+
 def _angle_profile(state: Gaussian2D):
     """Radial reduction of a Gaussian against functions of angle alone.
 
@@ -78,19 +83,23 @@ def _angle_profile(state: Gaussian2D):
     centred state the profile is simply ``1/q(phi)`` with
     ``q = u^T C^{-1} u``; a non-zero mean adds an erf term, routed through
     ``erfcx`` so nothing overflows however eccentric the state.  A point or
-    rank-1 state has no angle density and raises ``ValueError``.
+    rank-1 state has no angle density and raises ``ValueError``.  If the
+    state is so eccentric that ``q`` rounds to zero or below at some angle,
+    the profile raises :class:`QuadratureNotConverged` there.
     """
-    det = float(np.linalg.det(state.cov))
+    det = _det(state.cov)
     if det <= _DEGENERATE_TOL:
         raise ValueError("degenerate covariance has no angle density")
-    inv = np.linalg.inv(state.cov)
-    i00, i01, i11 = float(inv[0, 0]), float(inv[0, 1]), float(inv[1, 1])
-    m0, m1 = float(state.mean[0]), float(state.mean[1])
+    i00, i01, i11 = _inverse(state.cov, det)
+    m0, m1 = state.mean.tolist()
     norm = state.mass / (2.0 * math.pi * math.sqrt(det))
     if m0 == 0.0 and m1 == 0.0:
         def centred(phi: float) -> float:
             c, s = math.cos(phi), math.sin(phi)
-            return 1.0 / (i00 * c * c + 2.0 * i01 * c * s + i11 * s * s)
+            q = i00 * c * c + 2.0 * i01 * c * s + i11 * s * s
+            if q <= 0.0:
+                raise _lost_weight(phi, q)
+            return 1.0 / q
         return centred, norm
 
     g0, g1 = i00 * m0 + i01 * m1, i01 * m0 + i11 * m1
@@ -101,6 +110,8 @@ def _angle_profile(state: Gaussian2D):
     def offset(phi: float) -> float:
         c, s = math.cos(phi), math.sin(phi)
         q = i00 * c * c + 2.0 * i01 * c * s + i11 * s * s
+        if q <= 0.0:
+            raise _lost_weight(phi, q)
         lin = c * g0 + s * g1
         h = lin / math.sqrt(2.0 * q)
         if h >= 0.0:
@@ -168,9 +179,12 @@ def energy_generating_function(d: DerivedParams, b_param: float, t: float) -> fl
 
     with ``D = temperature_number``.  At ``B = 0`` this is the trace, 1; as
     ``beta*t -> inf`` it tends to the classical value ``1/(1 + B*theta)``.
+    Since ``exp(beta*t) * K = hbar*omega*B/2``, the second term is evaluated
+    as ``D * (hbar*omega*B/2) * sinh(K)/K``, which cannot overflow.
     """
     if b_param < 0:
         raise ValueError(f"b_param must be >= 0, got {b_param!r}")
-    hw = d.params.hbar * d.omega
-    k = hw * b_param * math.exp(-d.beta * t) / 2.0
-    return 1.0 / (math.cosh(k) + d.temperature_number * math.exp(d.beta * t) * math.sinh(k))
+    half_hwb = d.params.hbar * d.omega * b_param / 2.0
+    k = half_hwb * math.exp(-d.beta * t)
+    sinhc = math.sinh(k) / k if k > 0.0 else 1.0
+    return 1.0 / (math.cosh(k) + d.temperature_number * half_hwb * sinhc)

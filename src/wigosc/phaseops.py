@@ -515,7 +515,7 @@ def thermal_phase_variance(temperature_number: float, n_terms: int | None = None
     m_max = n_terms - 1
     values, bounds = variance_diagonal_table(m_max, extra=max(200_000, m_max // 2))
     if float(np.max(values)) > _VARIANCE_SUP:
-        raise AssertionError("row-variance cap violated; geometric remainder invalid")
+        raise ConvergenceFailure("row-variance cap violated; geometric remainder invalid")
     weights = (2.0 / (big_d + 1.0)) * ratio ** np.arange(n_terms)
     value = float(np.sum(weights * values))
     remainder = _VARIANCE_SUP * abs(ratio) ** n_terms

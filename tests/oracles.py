@@ -1,8 +1,8 @@
 """Reference implementations the tests compare the package against.
 
 They are deliberately plain (entry-by-entry loops, per-instant coefficient
-objects, step-by-step moment recursions) and are not part of the package's
-public surface.
+objects, step-by-step moment recursions, generic ``np.linalg`` calls on 2x2
+matrices) and are not part of the package's public surface.
 """
 
 from __future__ import annotations
@@ -14,8 +14,9 @@ from typing import Callable
 import numpy as np
 from numpy.random import Generator, Philox
 
-from wigosc import DerivedParams, ModelParams, SdeConfig
+from wigosc import DerivedParams, Gaussian2D, ModelParams, SdeConfig, ground_state, propagator
 from wigosc.langevin import _BLOCK
+from wigosc.quadrature import integrate_angular
 
 _I_POW = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
 
@@ -60,6 +61,61 @@ def exact_eigenvalues(a: np.ndarray, digits: int = 32) -> np.ndarray:
     with mpmath.workdps(digits):
         ev = mpmath.eighe(mpmath.matrix(a.tolist()), eigvals_only=True)
         return np.sort([float(x) for x in ev])
+
+
+def evolve_linalg(state: Gaussian2D, d: DerivedParams, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(mean, cov)`` of ``state`` pushed from 0 to ``t`` by generic matrix algebra.
+
+    The canonical flow and noise covariance are the physical ones conjugated
+    by ``diag(exp(beta*t), 1)`` as full matrix products, and the result is
+    checked positive semidefinite with ``eigvalsh``.  Oracle for
+    :func:`wigosc.evolve`, which scales rows and columns instead.
+    """
+    kern = propagator(d, t)
+    scale = np.diag([math.exp(d.beta * t), 1.0])
+    flow = scale @ kern.flow.matrix
+    mean = flow @ state.mean
+    cov = flow @ state.cov @ flow.T + scale @ kern.cov_physical @ scale
+    if np.linalg.eigvalsh(cov)[0] < -1e-12 * max(1.0, float(np.max(np.abs(cov)))):
+        raise ValueError("evolved covariance not positive semidefinite")
+    return mean, cov
+
+
+def overlap_linalg(mean_a, cov_a, mean_b, cov_b) -> float:
+    """``Tr(rho_a rho_b)`` of two unit-mass Gaussians by ``np.linalg.det`` and ``solve``.
+
+    Oracle for :func:`wigosc.state_overlap`.
+    """
+    csum = np.asarray(cov_a) + np.asarray(cov_b)
+    diff = np.asarray(mean_a) - np.asarray(mean_b)
+    quad = float(diff @ np.linalg.solve(csum, diff))
+    return math.exp(-0.5 * quad) / math.sqrt(float(np.linalg.det(csum)))
+
+
+def survival_linalg(d: DerivedParams, t: float) -> float:
+    """Ground-state survival through :func:`evolve_linalg` and :func:`overlap_linalg`."""
+    g = ground_state()
+    mean, cov = evolve_linalg(g, d, t)
+    return overlap_linalg(mean, cov, g.mean, g.cov)
+
+
+def phase_expectation_linalg(d: DerivedParams, t: float, tol: float = 1e-10) -> float:
+    """Phase mean of the evolved ground state, its angle profile built with ``np.linalg.inv``.
+
+    The evolved ground state stays centred, so the profile is ``1/q(phi)``
+    with ``q = u^T C^{-1} u``; the angular quadrature is the package's own.
+    Oracle for ``wigosc.phase_expectation(None, ...)``.
+    """
+    _, cov = evolve_linalg(ground_state(), d, t)
+    inv = np.linalg.inv(cov)
+    i00, i01, i11 = float(inv[0, 0]), float(inv[0, 1]), float(inv[1, 1])
+
+    def weighted(phi: float) -> float:
+        c, s = math.cos(phi), math.sin(phi)
+        return phi / (i00 * c * c + 2.0 * i01 * c * s + i11 * s * s)
+
+    norm = 2.0 * math.pi * math.sqrt(float(np.linalg.det(cov)))
+    return integrate_angular(weighted, tol=tol) / norm
 
 
 @dataclass(frozen=True)

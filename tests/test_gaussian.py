@@ -1,14 +1,37 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
+from oracles import evolve_linalg, overlap_linalg
 from wigosc import (Gaussian2D, ModelParams, RequiresFriction, coherent_state, derive,
                     evolve, ground_state, noise_form, noise_form_longtime, propagator,
                     state_overlap, thermal_state)
+from wigosc.gaussian import _det, _inverse, _min_eig
+
+EPS = float(np.finfo(float).eps)
+TINY = float(np.finfo(float).tiny)
+
+# symmetric PSD 2x2 matrices [[a, b], [b, d]], b = rho*sqrt(a*d), with diagonal
+# entries from 1e-150 to 1e150 and |rho| up to exactly 1 (singular)
+_MAGNITUDE = st.floats(-150.0, 150.0).map(lambda e: 10.0 ** e)
+_CORRELATION = st.one_of(st.floats(-1.0, 1.0),
+                         st.sampled_from([-1.0, 1.0, 1.0 - 1e-9, -(1.0 - 1e-13), 0.0]))
+
+
+def _psd(a, d, rho):
+    b = rho * math.sqrt(a) * math.sqrt(d)
+    return np.array([[a, b], [b, d]])
+
+
+def _exact_det(m):
+    """Exact determinant of the float matrix ``m``, and the size ``|a*d| + b**2`` of its terms."""
+    a, b, d = (Fraction(float(v)) for v in (m[0, 0], m[0, 1], m[1, 1]))
+    return a * d - b * b, abs(a * d) + b * b
 
 
 def quad_noise_matrix(d, t):
@@ -28,35 +51,106 @@ def quad_noise_matrix(d, t):
     return np.array([[q_aa, q_ab], [q_ab, q_bb]])
 
 
+class TestClosedForms:
+    """The closed-form 2x2 algebra against exact rational arithmetic and ``np.linalg``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_MAGNITUDE, _MAGNITUDE, _CORRELATION)
+    def test_det_matches_exact_and_linalg(self, a, d, rho):
+        m = _psd(a, d, rho)
+        exact, size = _exact_det(m)
+        det = _det(m)
+        # backward stable: the error is a few eps * (|a*d| + b**2)
+        assert float(abs(Fraction(det) - exact)) <= 2.0 * EPS * float(size)
+        # np.linalg.det returns exp(log|det|): its error also grows with |log det|
+        ref = float(np.linalg.det(m))
+        log_det = abs(math.log(det)) if det > 0.0 else 0.0
+        assert abs(det - ref) <= 64.0 * EPS * (float(size) + log_det * max(abs(ref), abs(det)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_MAGNITUDE, st.floats(-6.0, 6.0), _CORRELATION)
+    def test_inverse_matches_exact_and_linalg(self, a, log_ratio, rho):
+        m = _psd(a, a * 10.0 ** log_ratio, rho)
+        exact, size = _exact_det(m)
+        assume(exact > 0 and size < 1e12 * exact)
+        ours = _inverse(m, _det(m))
+        adjugate = (m[1, 1], -m[0, 1], m[0, 0])
+        for got, adj in zip(ours, adjugate):
+            want = Fraction(float(adj)) / exact
+            # each entry inherits the determinant's relative error, eps * size / det,
+            # down to the subnormal range
+            err = float(abs(Fraction(got) - want))
+            assert err <= 2.0 * EPS * float(size / exact) * float(abs(want)) + TINY
+        # generic inversion is only normwise accurate, to eps * condition number
+        ref = np.linalg.inv(m)
+        kappa = float(Fraction(float(np.trace(m))) ** 2 / exact)
+        diff = np.array([[ours[0], ours[1]], [ours[1], ours[2]]]) - ref
+        assert np.max(np.abs(diff)) <= 16.0 * EPS * kappa * np.max(np.abs(ref))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_MAGNITUDE, _MAGNITUDE, _CORRELATION, st.booleans())
+    def test_min_eig_matches_linalg(self, a, d, rho, negate):
+        m = _psd(a, d, rho)
+        if negate:  # an indefinite matrix with the same entries' magnitudes
+            m[1, 1] = -m[1, 1]
+        err = abs(_min_eig(m) - float(np.linalg.eigvalsh(m)[0]))
+        assert err <= 8.0 * EPS * float(np.max(np.abs(m)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, 1.7e308), st.floats(0.0, 1.7e308), _CORRELATION)
+    def test_det_never_nan_for_psd_input(self, a, d, rho):
+        assert not math.isnan(_det(_psd(a, d, rho)))
+
+    def test_det_overflows_only_with_the_determinant(self):
+        # a*d and b*b are both ~1e310, so a*d - b*b is inf - inf; det is ~2e301
+        m = _psd(1e300, 1e10, 1.0 - 1e-9)
+        exact, _ = _exact_det(m)
+        assert _det(m) == pytest.approx(float(exact), rel=1e-6)
+        assert _det(np.array([[1e200, 0.0], [0.0, 1e200]])) == math.inf
+
+    @settings(max_examples=300, deadline=None)
+    @given(_MAGNITUDE, _MAGNITUDE, st.floats(-1.001, 1.001))
+    def test_psd_check_matches_eigvalsh(self, a, d, rho):
+        m = _psd(a, d, rho)
+        scale = max(1.0, float(np.max(np.abs(m))))
+        min_eig = float(np.linalg.eigvalsh(m)[0]) / scale
+        assume(abs(min_eig + 1e-12) > 1e-14)  # clear of the acceptance edge
+        if min_eig < -1e-12:
+            with pytest.raises(ValueError, match="positive semidefinite"):
+                Gaussian2D(np.zeros(2), m)
+        else:
+            Gaussian2D(np.zeros(2), m)
+
+
 class TestNoiseForm:
     def test_zero_time_vanishes(self, d_default):
-        np.testing.assert_array_equal(noise_form(d_default, 0.0).matrix, np.zeros((2, 2)))
+        np.testing.assert_array_equal(noise_form(d_default, 0.0), np.zeros((2, 2)))
 
     def test_longtime_diagonal_limit(self):
         d = derive(ModelParams(mass=1.0, omega=1.0, beta=0.1, theta=0.5))
-        q_inf = noise_form_longtime(d).matrix
+        q_inf = noise_form_longtime(d)
         od, n, b, w = d.omega_damped, d.noise_number, d.beta, d.omega
         assert q_inf[0, 0] == pytest.approx(n * od ** 3 / (2 * w * w * b), rel=1e-14)
         assert q_inf[1, 1] == pytest.approx(n * od / (2 * b), rel=1e-14)
-        late = noise_form(d, 400.0).matrix
+        late = noise_form(d, 400.0)
         np.testing.assert_allclose(late, q_inf, rtol=0, atol=1e-12 * q_inf[0, 0])
 
     def test_closed_form_against_quadrature(self):
         # generic parameters: closed antiderivatives vs adaptive quadrature
         d = derive(ModelParams(mass=1.0, omega=1.0, beta=0.1, mu=1.0))
         for t in (0.4, 3.0, 11.7):
-            np.testing.assert_allclose(noise_form(d, t).matrix,
+            np.testing.assert_allclose(noise_form(d, t),
                                        quad_noise_matrix(d, t), rtol=0, atol=1e-10)
 
     def test_frictionless_branch_against_quadrature(self):
         d = derive(ModelParams(mass=1.0, omega=1.0, beta=0.0, mu=0.5))
         for t in (0.9, 6.0):
-            np.testing.assert_allclose(noise_form(d, t).matrix,
+            np.testing.assert_allclose(noise_form(d, t),
                                        quad_noise_matrix(d, t), rtol=0, atol=1e-10)
 
     def test_positive_semidefinite_along_time(self, d_default):
         for t in np.linspace(0.0, 120.0, 1000):
-            evals = np.linalg.eigvalsh(noise_form(d_default, t).matrix)
+            evals = np.linalg.eigvalsh(noise_form(d_default, t))
             assert evals[0] >= -1e-15
 
     def test_longtime_requires_friction(self):
@@ -64,11 +158,15 @@ class TestNoiseForm:
         with pytest.raises(RequiresFriction):
             noise_form_longtime(d)
 
+    def test_read_only(self, d_default):
+        for q in (noise_form(d_default, 2.0), noise_form_longtime(d_default)):
+            with pytest.raises(ValueError):
+                q[0, 0] = 1.0
+
 
 class TestPropagator:
     def test_zero_time_is_delta(self, d_default):
         kern = propagator(d_default, 0.0)
-        assert kern.degenerate
         np.testing.assert_array_equal(kern.cov, np.zeros((2, 2)))
         np.testing.assert_array_equal(kern.flow.matrix, np.eye(2))
 
@@ -120,6 +218,20 @@ class TestPropagator:
 
 
 class TestEvolve:
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(0.0, 300.0), st.floats(0.0, math.log(1e7)), st.floats(0.01, 1.9),
+           st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+    def test_matches_linalg_oracle(self, beta_t, log_d, big_b, x0, y0):
+        d = derive(ModelParams.from_dimensionless(math.exp(log_d), big_b))
+        t = beta_t / d.beta
+        state = coherent_state(x0, y0)
+        out = evolve(state, d, t)
+        mean, cov = evolve_linalg(state, d, t)
+        np.testing.assert_allclose(out.mean, mean, rtol=1e-14,
+                                   atol=1e-14 * float(np.max(np.abs(mean))))
+        np.testing.assert_allclose(out.cov, cov, rtol=1e-14,
+                                   atol=1e-14 * float(np.max(np.abs(cov))))
+
     def test_identity_at_zero_time(self, d_default):
         g = ground_state()
         out = evolve(g, d_default, 0.0)
@@ -209,6 +321,13 @@ class TestGaussian2D:
         assert Gaussian2D(np.zeros(2), np.zeros((2, 2))).is_degenerate
         assert not ground_state().is_degenerate
 
+    def test_ground_state_is_one_read_only_instance(self):
+        g = ground_state()
+        assert ground_state() is g
+        np.testing.assert_array_equal(g.cov, 0.5 * np.eye(2))
+        with pytest.raises(ValueError):
+            g.cov[0, 0] = 1.0
+
     def test_physical_view_keeps_mass(self, d_default):
         state = coherent_state(1.0, 2.0)
         view = state.physical(d_default.beta, 6.0)
@@ -232,6 +351,20 @@ class TestOverlap:
         ab, ba = state_overlap(a, b), state_overlap(b, a)
         assert ab == pytest.approx(ba, rel=1e-13)
         assert 0.0 < ab <= 1.0 + 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(-3, 3), st.floats(-3, 3), _MAGNITUDE, _MAGNITUDE, st.floats(-0.999, 0.999))
+    def test_matches_linalg_oracle(self, mx, my, a, d, rho):
+        # a PSD excess of any magnitude over the ground covariance
+        a_state = Gaussian2D(np.array([mx, my]), 0.5 * np.eye(2) + _psd(a, d, rho))
+        b_state = coherent_state(0.3, -0.2)
+        ref = overlap_linalg(a_state.mean, a_state.cov, b_state.mean, b_state.cov)
+        # both determinants err by ~eps * (|a*d| + b**2) / det, and np.linalg.det,
+        # which returns exp(log|det|), also by ~eps*|log det|
+        csum = a_state.cov + b_state.cov
+        exact, size = _exact_det(csum)
+        tol = 1e-14 + 2.0 * EPS * (float(size / exact) + abs(math.log(float(exact))))
+        assert state_overlap(a_state, b_state) == pytest.approx(ref, rel=tol, abs=1e-300)
 
     def test_delta_state_overlap(self):
         delta = Gaussian2D(np.array([0.5, -0.5]), np.zeros((2, 2)))

@@ -84,7 +84,7 @@ class TestClassicalFlow:
         beta = d_default.beta
         for tau in np.linspace(0.0, 20.0 / beta, 37):
             flow = classical_flow(d_default, tau)
-            assert flow.det == pytest.approx(math.exp(-beta * tau), rel=1e-12)
+            assert np.linalg.det(flow.matrix) == pytest.approx(math.exp(-beta * tau), rel=1e-12)
             assert np.linalg.det(flow.canonical) == pytest.approx(1.0, rel=1e-12)
 
     @settings(max_examples=100, deadline=None)

@@ -6,14 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
-from oracles import energy_weyl_symbol
-from wigosc import (Gaussian2D, ModelParams, RequiresFriction, derive,
+from oracles import energy_weyl_symbol, phase_expectation_linalg, survival_linalg
+from wigosc import (Gaussian2D, ModelParams, QuadratureNotConverged, RequiresFriction, derive,
                     energy_generating_function, evolve, ground_state, longtime_survival,
                     mean_angle, nofriction_survival, phase_expectation, survival_probability,
                     thermal_angle_expectation, thermal_state)
 from wigosc.observables import _angle_profile
 
 PI2_3 = math.pi ** 2 / 3.0
+EPS = float(np.finfo(float).eps)
+
+# The whole domain: beta*t, D log-uniform on [1, 1e7], damping ratio B
+_BETA_T = st.floats(0.0, 300.0)
+_LOG_D = st.floats(0.0, math.log(1e7))
+_DAMPING = st.floats(0.01, 1.9)
+
+# A sweep point (D, B, beta*t) whose evolved canonical covariance is so
+# eccentric that the angle weight q(phi) rounds to exactly zero
+ECCENTRIC = (1573.942557235534, 0.27694667405087636, 351.1414149356428)
 
 
 def survival_oracle(d, t):
@@ -76,6 +86,29 @@ class TestSurvival:
         t = 7.3
         assert survival_probability(d_default, t) == pytest.approx(
             survival_oracle(d_default, t), rel=1e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_BETA_T, _LOG_D, _DAMPING)
+    def test_matches_linalg_oracle(self, beta_t, log_d, big_b):
+        d = derive(ModelParams.from_dimensionless(math.exp(log_d), big_b))
+        t = beta_t / d.beta
+        ref = survival_linalg(d, t)
+        # np.linalg.det returns exp(log det), so the oracle's own error grows
+        # like eps*|log det| = 2*eps*|log survival|
+        tol = 1e-14 + 4.0 * EPS * abs(math.log(ref))
+        assert survival_probability(d, t) == pytest.approx(ref, rel=tol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_BETA_T, _LOG_D, _DAMPING)
+    def test_determinant_exact_against_mpmath(self, beta_t, log_d, big_b):
+        mpmath = pytest.importorskip("mpmath")
+        d = derive(ModelParams.from_dimensionless(math.exp(log_d), big_b))
+        t = beta_t / d.beta
+        # 1/sqrt(det(C + I/2)) of the very same evolved covariance, in 40 digits
+        (a, b), (_, c) = (evolve(ground_state(), d, t).cov + 0.5 * np.eye(2)).tolist()
+        with mpmath.workdps(40):
+            exact = 1 / mpmath.sqrt(mpmath.mpf(a) * c - mpmath.mpf(b) ** 2)
+            assert abs(survival_probability(d, t) / exact - 1) <= 4.0 * EPS
 
     def test_longtime_asymptote(self, d_default):
         beta = d_default.beta
@@ -185,6 +218,26 @@ class TestMeanAngle:
             phase_expectation(Gaussian2D(np.array([1.0, 0.0]), np.zeros((2, 2))),
                               d_default, 0.0)
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.floats(0.0, 10.0), _LOG_D, _DAMPING)
+    def test_matches_linalg_oracle(self, beta_t, log_d, big_b):
+        # beyond beta*t ~ 11 the canonical-frame quadrature is a known defect
+        d = derive(ModelParams.from_dimensionless(math.exp(log_d), big_b))
+        t = beta_t / d.beta
+        assert phase_expectation(None, d, t) == pytest.approx(
+            phase_expectation_linalg(d, t), abs=1e-14)
+
+    def test_vanishing_angle_weight_is_loud(self):
+        big_d, big_b, beta_t = ECCENTRIC
+        d = derive(ModelParams.from_dimensionless(big_d, big_b))
+        t = beta_t / d.beta
+        with pytest.raises(QuadratureNotConverged, match="angle weight"):
+            phase_expectation(None, d, t)
+        # the displaced profile guards the same weight
+        displaced = Gaussian2D(np.array([1.0, 1.0]), evolve(ground_state(), d, t).cov)
+        with pytest.raises(QuadratureNotConverged, match="angle weight"):
+            mean_angle(displaced)
+
     def test_weak_damping_curve_tracks_frictionless_reference(self):
         # high temperature, low damping with D*B = 20 is nearly the
         # zero-friction run with free noise number 20
@@ -257,3 +310,28 @@ class TestEnergyGeneratingFunction:
     def test_negative_parameter_rejected(self, d_default):
         with pytest.raises(ValueError):
             energy_generating_function(d_default, -0.5, 1.0)
+
+    @pytest.mark.parametrize("big_d", [5.0, 1e7])
+    def test_no_underflow_before_exp_overflows(self, big_d):
+        # D*exp(beta*t)*sinh(K) overflows from beta*t = 709.78 - ln D and
+        # exp(beta*t) from 709.78, so neither may be formed.  K is ~1e-308
+        # here, so the value is the classical 1/(1 + B*theta) to the last bit.
+        d = derive(ModelParams.from_dimensionless(big_d, 0.1))
+        for beta_t in (709.0, 1000.0):
+            val = energy_generating_function(d, 1.0, beta_t / d.beta)
+            assert val == 1.0 / (1.0 + big_d / 2.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.0, 1e3), st.floats(0.0, math.log(1e7)), st.floats(0.0, 50.0))
+    def test_against_mpmath(self, beta_t, log_d, b):
+        mpmath = pytest.importorskip("mpmath")
+        d = derive(ModelParams.from_dimensionless(math.exp(log_d), 0.1))
+        t = beta_t / d.beta
+        with mpmath.workdps(40):
+            bt = mpmath.mpf(d.beta) * mpmath.mpf(t)
+            k = mpmath.mpf(d.params.hbar) * d.omega * b * mpmath.exp(-bt) / 2
+            exact = 1 / (mpmath.cosh(k) + d.temperature_number * mpmath.exp(bt) * mpmath.sinh(k))
+            # the value moves by ~K times the relative error of K, which holds
+            # eps*beta*t from rounding beta*t: the problem's own conditioning
+            tol = 4.0 * EPS * (1.0 + float(k) * (1.0 + float(bt)))
+            assert abs(energy_generating_function(d, b, t) / exact - 1) <= tol

@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.special import eval_genlaguerre
 
 from oracles import angle_matrix_loop, eigenpair_spectrum, exact_eigenvalues
-from wigosc import (SizeTooLarge, angle_operator_matrix, canonical_phase_matrix,
+from wigosc import (ConvergenceFailure, SizeTooLarge, angle_operator_matrix, canonical_phase_matrix,
                     delta_matrix_element, g_coefficient, g_matrix, phase_fourier,
                     phase_variance_diagonal, physical_phase_matrix, spectrum,
                     thermal_phase_variance, variance_diagonal_table)
@@ -444,6 +444,13 @@ class TestThermalPhaseVariance:
     def test_invalid_temperature(self):
         with pytest.raises(ValueError):
             thermal_phase_variance(0.0)
+
+    def test_violated_row_cap_is_a_package_error(self, monkeypatch):
+        import wigosc.phaseops as phaseops
+        values, _ = variance_diagonal_table(5, extra=1000)
+        monkeypatch.setattr(phaseops, "_VARIANCE_SUP", float(np.max(values)) / 2.0)
+        with pytest.raises(ConvergenceFailure, match="row-variance cap"):
+            thermal_phase_variance(3.0, n_terms=6)
 
 
 class TestDeltaMatrixElement:
