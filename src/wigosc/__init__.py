@@ -24,7 +24,7 @@ from .gaussian import (Gaussian2D, PropagatorKernel, coherent_state, evolve, gro
                        thermal_state)
 from .langevin import (ComparisonVerdict, MomentReport, SdeConfig, compare_to_propagator,
                        simulate_ensemble)
-from .model import AffineFlow, DerivedParams, ModelParams, PhasePoint, classical_flow, derive
+from .model import DerivedParams, ModelParams, PhasePoint, classical_flow, derive
 from .observables import (energy_generating_function, longtime_survival, mean_angle,
                           nofriction_survival, phase_expectation, survival_probability,
                           thermal_angle_expectation)
@@ -41,7 +41,7 @@ __all__ = [
     "QuadratureNotConverged", "StepTooLarge", "ParameterMismatch", "ConvergenceFailure",
     "SizeTooLarge",
     # model
-    "ModelParams", "DerivedParams", "PhasePoint", "AffineFlow", "derive", "classical_flow",
+    "ModelParams", "DerivedParams", "PhasePoint", "derive", "classical_flow",
     # gaussian engine
     "Gaussian2D", "PropagatorKernel", "ground_state",
     "coherent_state", "noise_form", "noise_form_longtime", "propagator", "evolve",

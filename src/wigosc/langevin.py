@@ -136,21 +136,6 @@ class MomentReport:
     noise_s: float
     step_s: float
 
-    def canonical_mean(self) -> np.ndarray:
-        """Means of the canonical pair ``(x, y) = (X*exp(beta*t), y)``."""
-        grow = np.exp(self.params.beta * self.times)
-        out = self.mean.copy()
-        out[:, 0] *= grow
-        return out
-
-    def canonical_cov(self) -> np.ndarray:
-        grow = np.exp(self.params.beta * self.times)
-        out = self.cov.copy()
-        out[:, 0, 0] *= grow * grow
-        out[:, 0, 1] *= grow
-        out[:, 1, 0] *= grow
-        return out
-
     def digest(self) -> str:
         """SHA-256 over the numerical payload; equal digests mean identical reports."""
         h = hashlib.sha256()
@@ -371,7 +356,7 @@ def compare_to_propagator(report: MomentReport, d: DerivedParams,
     z = np.zeros((nout, 5))
     for i, t in enumerate(report.times):
         kern = propagator(d, float(t))
-        flow = kern.flow.matrix
+        flow = kern.flow
         mean_a = flow @ mean0
         cov_a = flow @ cov0 @ flow.T + kern.cov_physical
         se_mx = math.sqrt(max(cov_a[0, 0], 0.0) / n)

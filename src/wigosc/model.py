@@ -28,7 +28,6 @@ __all__ = [
     "ModelParams",
     "DerivedParams",
     "PhasePoint",
-    "AffineFlow",
     "derive",
     "classical_flow",
 ]
@@ -81,11 +80,6 @@ class ModelParams:
         if self.mu is None:
             return 2.0 * self.mass * self.beta * self.theta
         return self.mu
-
-    @property
-    def thermal_consistency(self) -> bool:
-        """True when the noise strength equals ``2*m*beta*theta`` exactly."""
-        return self.noise_strength == 2.0 * self.mass * self.beta * self.theta
 
     @classmethod
     def from_dimensionless(cls, temperature_number: float, damping_ratio: float,
@@ -184,65 +178,18 @@ class PhasePoint:
         a = math.atan2(self.y, self.x)
         return -math.pi if a == math.pi else a
 
-    def physical(self, beta: float, t: float) -> tuple[float, float]:
-        """Physical pair ``(X, y) = (x*exp(-beta*t), y)`` at time ``t``."""
-        return (self.x * math.exp(-beta * t), self.y)
 
-    @classmethod
-    def from_physical(cls, X: float, y: float, beta: float, t: float) -> "PhasePoint":
-        return cls(X * math.exp(beta * t), y)
+def classical_flow(d: DerivedParams, tau: float) -> np.ndarray:
+    """Exact flow of the unforced damped oscillator over a lag ``tau``, read-only 2x2.
 
-
-@dataclass(frozen=True)
-class AffineFlow:
-    """Linear classical flow of the damped oscillator from time ``start`` to ``end``.
-
-    ``matrix`` maps the physical pair ``(X, y)`` at ``start`` to the physical
-    pair at ``end``; its determinant is ``exp(-beta*tau)`` (phase-space
-    contraction at the friction rate).  The canonical map, of unit
-    determinant, differs only by the ``exp(beta*t)`` coordinate scalings at
-    the two endpoints.
-    """
-
-    matrix: np.ndarray
-    tau: float
-    start: float
-    beta: float
-
-    def __post_init__(self):
-        mat = np.array(self.matrix, dtype=float)
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-
-    @property
-    def end(self) -> float:
-        return self.start + self.tau
-
-    @property
-    def canonical(self) -> np.ndarray:
-        """Map for the canonical pair ``(x, y)``; determinant 1."""
-        scale_out = math.exp(self.beta * self.end)
-        scale_in = math.exp(-self.beta * self.start)
-        out = self.matrix.copy()
-        out[0, :] *= scale_out
-        out[:, 0] *= scale_in
-        return out
-
-    def apply_physical(self, X: float, y: float) -> tuple[float, float]:
-        v = self.matrix @ (X, y)
-        return (float(v[0]), float(v[1]))
-
-
-def classical_flow(d: DerivedParams, tau: float, start: float = 0.0) -> AffineFlow:
-    """Exact flow matrix of the unforced damped oscillator over a lag ``tau``.
-
-    The physical-coordinate matrix is
+    The matrix maps the physical pair ``(X, y)`` forward by ``tau``:
 
         exp(-beta*tau/2) * [[cos(Od*tau) - g*sin(Od*tau), -(w/Od)*sin(Od*tau)],
                             [(w/Od)*sin(Od*tau),           cos(Od*tau) + g*sin(Od*tau)]]
 
     with ``Od = omega_damped`` and ``g = beta/(2*Od)``; it reduces to a pure
-    rotation when ``beta = 0`` and to the identity at ``tau = 0``.
+    rotation when ``beta = 0`` and to the identity at ``tau = 0``.  Its
+    determinant is ``exp(-beta*tau)``; it serves every window of length ``tau``.
     """
     if tau < 0:
         raise ValueError(f"tau must be >= 0, got {tau!r}")
@@ -252,4 +199,5 @@ def classical_flow(d: DerivedParams, tau: float, start: float = 0.0) -> AffineFl
     damp = math.exp(-d.beta * tau / 2.0)
     mat = damp * np.array([[c - g * s, -(d.omega / od) * s],
                            [(d.omega / od) * s, c + g * s]])
-    return AffineFlow(matrix=mat, tau=float(tau), start=float(start), beta=d.beta)
+    mat.setflags(write=False)
+    return mat

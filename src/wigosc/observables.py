@@ -179,12 +179,18 @@ def energy_generating_function(d: DerivedParams, b_param: float, t: float) -> fl
 
     with ``D = temperature_number``.  At ``B = 0`` this is the trace, 1; as
     ``beta*t -> inf`` it tends to the classical value ``1/(1 + B*theta)``.
-    Since ``exp(beta*t) * K = hbar*omega*B/2``, the second term is evaluated
-    as ``D * (hbar*omega*B/2) * sinh(K)/K``, which cannot overflow.
+    Dividing through by ``cosh(K) = (1 + exp(-2K)) / (2*exp(-K))`` and using
+    ``exp(beta*t) * K = hbar*omega*B/2`` gives
+
+        2*exp(-K) / ((1 + exp(-2K)) * (1 + D * (hbar*omega*B/2) * tanh(K)/K)),
+
+    which cannot overflow; for ``K`` beyond ~745 it underflows to 0.
     """
     if b_param < 0:
         raise ValueError(f"b_param must be >= 0, got {b_param!r}")
     half_hwb = d.params.hbar * d.omega * b_param / 2.0
     k = half_hwb * math.exp(-d.beta * t)
-    sinhc = math.sinh(k) / k if k > 0.0 else 1.0
-    return 1.0 / (math.cosh(k) + d.temperature_number * half_hwb * sinhc)
+    tanhc = math.tanh(k) / k if k > 0.0 else 1.0
+    decay = math.exp(-k)
+    return 2.0 * decay / ((1.0 + decay * decay)
+                          * (1.0 + d.temperature_number * half_hwb * tanhc))

@@ -82,7 +82,6 @@ class GMatrix:
     """Symmetric Gamma-ratio coefficient table; unit diagonal, positive entries."""
 
     values: np.ndarray
-    n_max: int
 
     def __post_init__(self):
         self.values.setflags(write=False)
@@ -124,7 +123,7 @@ def g_matrix(n_max: int) -> GMatrix:
     log_g = (-(ng - nl) * (math.log(2.0) / 2.0)
              + lg_half[parity, nl] - lg_half[parity, ng]
              + 0.5 * (lg_fact[ng] - lg_fact[nl]))
-    return GMatrix(values=np.exp(log_g), n_max=n_max)
+    return GMatrix(values=np.exp(log_g))
 
 
 def phase_fourier(k: int) -> complex:
@@ -144,8 +143,6 @@ class HermitianMatrix:
     """Truncated operator matrix in the number basis, Hermitian by construction."""
 
     values: np.ndarray
-    kind: str
-    beta_t: float | None = None
 
     def __post_init__(self):
         self.values.setflags(write=False)
@@ -161,8 +158,7 @@ def _offsets(n_max: int) -> np.ndarray:
     return idx - idx[:, np.newaxis]
 
 
-def _angle_matrix(g: np.ndarray, fourier: Callable[[int], complex], kind: str,
-                  beta_t: float | None = None) -> HermitianMatrix:
+def _angle_matrix(g: np.ndarray, fourier: Callable[[int], complex]) -> HermitianMatrix:
     """Assemble ``(m, n) -> i**(m-n) * g[m, n] * c_(n-m)``, one ``fourier`` call per offset.
 
     ``g`` must be symmetric: conjugating the strict lower triangle in place
@@ -174,7 +170,7 @@ def _angle_matrix(g: np.ndarray, fourier: Callable[[int], complex], kind: str,
     offset = _offsets(n_max)
     out = g * coeff[np.abs(offset)]
     np.conjugate(out, out=out, where=offset < 0)
-    return HermitianMatrix(values=out, kind=kind, beta_t=beta_t)
+    return HermitianMatrix(values=out)
 
 
 def angle_operator_matrix(fourier: Callable[[int], complex], n_max: int) -> HermitianMatrix:
@@ -185,7 +181,7 @@ def angle_operator_matrix(fourier: Callable[[int], complex], n_max: int) -> Herm
     conjugation, so Hermiticity is exact whenever ``Phi`` is real.
     """
     _check_size(n_max)
-    return _angle_matrix(g_matrix(n_max).values, fourier, "angle")
+    return _angle_matrix(g_matrix(n_max).values, fourier)
 
 
 def canonical_phase_matrix(n_max: int) -> HermitianMatrix:
@@ -196,7 +192,7 @@ def canonical_phase_matrix(n_max: int) -> HermitianMatrix:
     eigenvalues ``+-sqrt(pi/2)``.
     """
     _check_size(n_max)
-    return _angle_matrix(g_matrix(n_max).values, phase_fourier, "canonical")
+    return _angle_matrix(g_matrix(n_max).values, phase_fourier)
 
 
 def attenuation(offset: int | np.ndarray, beta_t: float):
@@ -223,7 +219,7 @@ def physical_phase_matrix(n_max: int, beta_t: float) -> HermitianMatrix:
     _check_size(n_max)
     beta_t = _check_beta_t(beta_t)
     gbar = g_matrix(n_max).values * attenuation(_offsets(n_max), beta_t)
-    return _angle_matrix(gbar, phase_fourier, "physical", beta_t)
+    return _angle_matrix(gbar, phase_fourier)
 
 
 @dataclass(frozen=True)
@@ -372,9 +368,6 @@ class VarianceEstimate:
     tail_bound: float
     terms: int
 
-    def interval(self) -> tuple[float, float]:
-        return (self.value - self.tail_bound, self.value + self.tail_bound)
-
 
 def _row_weights(offsets: np.ndarray, beta_t: float | None) -> np.ndarray:
     if beta_t is None:
@@ -488,8 +481,7 @@ def variance_diagonal_table(m_max: int, extra: int = 200_000,
     return values, bounds
 
 
-def thermal_phase_variance(temperature_number: float, n_terms: int | None = None,
-                           tol: float = 1e-10) -> VarianceEstimate:
+def thermal_phase_variance(temperature_number: float, tol: float = 1e-10) -> VarianceEstimate:
     """Second moment of the canonical phase in the weak-damping thermal state.
 
     Geometric mixture of the row variances,
@@ -498,20 +490,20 @@ def thermal_phase_variance(temperature_number: float, n_terms: int | None = None
 
     with ``D`` the temperature number.  ``D = 1`` keeps only the ground row;
     as ``D -> inf`` the mixture tends to ``pi**2/3`` (fully random phase).
-    The returned bound combines the geometric remainder with the per-row
-    tail certificates.
+    The mixture stops once the geometric remainder is below ``tol`` (at
+    most 400k rows); the returned bound combines that remainder with the
+    per-row tail certificates.
     """
     big_d = float(temperature_number)
     if big_d <= 0:
         raise ValueError("temperature_number must be > 0")
     ratio = (big_d - 1.0) / (big_d + 1.0)
-    if n_terms is None:
-        if ratio == 0.0:
-            n_terms = 1
-        else:
-            n_terms = int(math.ceil(math.log(max(tol, 1e-300) / (2.0 * _VARIANCE_SUP))
-                                    / math.log(abs(ratio)))) + 1
-        n_terms = min(max(n_terms, 1), 400_000)
+    if ratio == 0.0:
+        n_terms = 1
+    else:
+        n_terms = int(math.ceil(math.log(max(tol, 1e-300) / (2.0 * _VARIANCE_SUP))
+                                / math.log(abs(ratio)))) + 1
+    n_terms = min(max(n_terms, 1), 400_000)
     m_max = n_terms - 1
     values, bounds = variance_diagonal_table(m_max, extra=max(200_000, m_max // 2))
     if float(np.max(values)) > _VARIANCE_SUP:

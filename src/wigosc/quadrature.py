@@ -4,7 +4,8 @@ Thin wrapper over QUADPACK's adaptive Gauss-Kronrod rule (``scipy.integrate
 .quad``): callers get either a value whose reported error estimate meets the
 requested tolerance or a :class:`~wigosc.errors.QuadratureNotConverged`. The
 angular integrands in this package develop sharp features at multiples of
-pi/2 at strong damping, so panel break points are threaded through.
+pi/2 at strong damping, so ``integrate_angular`` always splits the period at
+the fixed break points ``_EDGES``, the multiples of pi/2.
 """
 
 from __future__ import annotations

@@ -73,7 +73,7 @@ def evolve_linalg(state: Gaussian2D, d: DerivedParams, t: float) -> tuple[np.nda
     """
     kern = propagator(d, t)
     scale = np.diag([math.exp(d.beta * t), 1.0])
-    flow = scale @ kern.flow.matrix
+    flow = scale @ kern.flow
     mean = flow @ state.mean
     cov = flow @ state.cov @ flow.T + scale @ kern.cov_physical @ scale
     if np.linalg.eigvalsh(cov)[0] < -1e-12 * max(1.0, float(np.max(np.abs(cov)))):

@@ -80,15 +80,16 @@ def test_criterion_3_thermalization():
 
     cfg = SdeConfig(dt=0.005, n_steps=int(round(t / 0.005)), n_trajectories=100_000,
                     seed=20240501, record_every=10 ** 9)
+    # the ensemble reports the physical pair, whose thermal covariance is
+    # diag(D/2, D/2); each z-score is invariant under the x scaling
     rep = simulate_ensemble(params, cfg)
     n = rep.n_trajectories
-    cov_emp = rep.canonical_cov()[-1]
-    z_xx = (cov_emp[0, 0] - target[0, 0]) / (target[0, 0] * math.sqrt(2.0 / (n - 1)))
-    z_yy = (cov_emp[1, 1] - target[1, 1]) / (target[1, 1] * math.sqrt(2.0 / (n - 1)))
-    se_xy = math.sqrt(target[0, 0] * target[1, 1] / (n - 1))
-    z_xy = cov_emp[0, 1] / se_xy
-    z_mx = rep.canonical_mean()[-1, 0] / math.sqrt(target[0, 0] / n)
-    z_my = rep.canonical_mean()[-1, 1] / math.sqrt(target[1, 1] / n)
+    cov_emp = rep.cov[-1]
+    z_xx = (cov_emp[0, 0] - half_d) / (half_d * math.sqrt(2.0 / (n - 1)))
+    z_yy = (cov_emp[1, 1] - half_d) / (half_d * math.sqrt(2.0 / (n - 1)))
+    z_xy = cov_emp[0, 1] / (half_d / math.sqrt(n - 1))
+    z_mx = rep.mean[-1, 0] / math.sqrt(half_d / n)
+    z_my = rep.mean[-1, 1] / math.sqrt(half_d / n)
     zs = np.abs([z_mx, z_my, z_xx, z_xy, z_yy])
     elapsed = time.perf_counter() - t0
     report(3, th_ok and transient_ok and float(np.max(zs)) < 3.0 and elapsed < 120.0,

@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 
@@ -93,6 +94,30 @@ class TestSpectrumCommand:
         # beta_t = 0 column reproduces the canonical spectrum
         canonical = spectrum(canonical_phase_matrix(60)).eigenvalues
         np.testing.assert_allclose(by_bt[0.0], canonical, atol=1e-12)
+
+
+class TestGoldenBytes:
+    """SHA-256 of each CSV body at the default configuration, ``#`` lines dropped.
+
+    Refactors keep CLI output byte-identical; these literals show it.  The
+    digits come from this package's numerics and the installed numpy, scipy
+    and LAPACK.  Changing a literal is a declared contract change that
+    CHANGES.md must state and justify, not a value to refresh.
+    """
+
+    GOLDEN = {
+        "survival": "56f4e34ec7c7b2b28e8e109eb45c16557563c255c95f3af4514aa8a793813239",
+        "phase-mean": "30883c72483d75dd80f2012b0ff94d9c9abec505fca02a7ae71499b8f982737c",
+        "spectrum": "ca618423826c59fac3fd8ec539508d9616d58946b15ed5ce654599c0d2534270",
+    }
+
+    @pytest.mark.parametrize("command", sorted(GOLDEN))
+    def test_default_csv_body(self, command, tmp_path):
+        out = tmp_path / "out.csv"
+        assert main([command, "--out", str(out)]) == 0
+        body = "".join(line + "\n" for line in out.read_text().splitlines()
+                       if not line.startswith("#"))
+        assert hashlib.sha256(body.encode()).hexdigest() == self.GOLDEN[command]
 
 
 class TestValidateCommand:

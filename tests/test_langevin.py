@@ -86,7 +86,7 @@ class TestDeterministicLimit:
                         seed=7, record_every=314)
         report = simulate_ensemble(params, cfg, initial=PhasePoint(1.0, 0.0))
         for i, t in enumerate(report.times):
-            expected = classical_flow(d, float(t)).matrix @ (1.0, 0.0)
+            expected = classical_flow(d, float(t)) @ (1.0, 0.0)
             np.testing.assert_allclose(report.mean[i], expected, atol=4e-3)
         energy = report.mean[:, 0] ** 2 + report.mean[:, 1] ** 2
         assert np.max(np.abs(energy - 1.0)) < 2.5 * 0.005  # O(omega*dt) wobble
@@ -129,7 +129,7 @@ class TestMoments:
         start = Gaussian2D(np.array([2.0, -1.0]), 0.5 * np.eye(2))
         report = simulate_ensemble(params, cfg, initial=start)
         for i, t in enumerate(report.times):
-            expected = classical_flow(d, float(t)).matrix @ start.mean
+            expected = classical_flow(d, float(t)) @ start.mean
             np.testing.assert_allclose(report.mean[i], expected,
                                        atol=4.5 * float(np.max(report.se_mean[i])))
 
@@ -149,7 +149,7 @@ class TestMoments:
         d = derive(params)
         start = ground_state()
         t_end = 10.0  # beta*t = 1
-        flow = classical_flow(d, t_end).matrix
+        flow = classical_flow(d, t_end)
         exact = flow @ start.cov @ flow.T + propagator(d, t_end).cov_physical
         biases = []
         for dt in (0.02, 0.01):
@@ -294,19 +294,6 @@ class TestComparison:
 
 
 class TestReportViews:
-    def test_canonical_scaling(self):
-        params = ModelParams(mass=1.0, omega=1.0, beta=0.2, theta=1.0)
-        cfg = SdeConfig(dt=0.01, n_steps=300, n_trajectories=3000, seed=41,
-                        record_every=150)
-        report = simulate_ensemble(params, cfg)
-        grow = np.exp(params.beta * report.times)
-        np.testing.assert_allclose(report.canonical_mean()[:, 0],
-                                   report.mean[:, 0] * grow, rtol=1e-14)
-        np.testing.assert_allclose(report.canonical_cov()[:, 0, 0],
-                                   report.cov[:, 0, 0] * grow ** 2, rtol=1e-14)
-        np.testing.assert_allclose(report.canonical_cov()[:, 1, 1],
-                                   report.cov[:, 1, 1], rtol=0)
-
     def test_initial_state_recorded(self):
         params = ModelParams(mass=1.0, omega=1.0, beta=0.2, theta=1.0)
         cfg = SdeConfig(dt=0.01, n_steps=50, n_trajectories=500, seed=42)

@@ -321,6 +321,31 @@ class TestEnergyGeneratingFunction:
             val = energy_generating_function(d, 1.0, beta_t / d.beta)
             assert val == 1.0 / (1.0 + big_d / 2.0)
 
+    @staticmethod
+    def _check_large_k(big_d, k):
+        # at t = 0 with hbar = omega = 1, K = b_param/2 exactly, so the only
+        # error is the formula's rounding; below ~1e-308 the value is
+        # subnormal and the floor is two subnormal steps
+        mpmath = pytest.importorskip("mpmath")
+        d = derive(ModelParams.from_dimensionless(big_d, 0.1))
+        val = energy_generating_function(d, 2.0 * k, 0.0)
+        with mpmath.workdps(40):
+            km = mpmath.mpf(k)
+            exact = 1 / (mpmath.cosh(km) + d.temperature_number * mpmath.sinh(km))
+            assert abs(val - exact) <= 4.0 * EPS * exact + 2.0 * math.ulp(0.0)
+        return val
+
+    @pytest.mark.parametrize("k", [709.0, 720.0, 750.0, 1e4])
+    def test_large_k_underflows_instead_of_raising(self, k):
+        # cosh(K) overflows from K = 710.5; the value underflows to 0 instead
+        val = self._check_large_k(5.0, k)
+        assert val > 0.0 if k < 745.0 else val == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(math.log(1e-3), math.log(1e7)), st.floats(0.0, 760.0))
+    def test_large_k_against_mpmath(self, log_d, k):
+        self._check_large_k(math.exp(log_d), k)
+
     @settings(max_examples=200, deadline=None)
     @given(st.floats(0.0, 1e3), st.floats(0.0, math.log(1e7)), st.floats(0.0, 50.0))
     def test_against_mpmath(self, beta_t, log_d, b):

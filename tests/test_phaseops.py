@@ -194,7 +194,7 @@ class TestPhaseMatrices:
 class TestSpectrum:
     def test_identity_matrix(self):
         from wigosc.phaseops import HermitianMatrix
-        spec = spectrum(HermitianMatrix(np.eye(7, dtype=complex), kind="test"))
+        spec = spectrum(HermitianMatrix(np.eye(7, dtype=complex)))
         np.testing.assert_allclose(spec.eigenvalues, np.ones(7), rtol=1e-15)
 
     def test_canonical_150_containment_and_uniformity(self):
@@ -436,8 +436,9 @@ class TestThermalPhaseVariance:
         assert abs(est.value - PI2_3) < 1e-6
 
     def test_remainder_shrinks_with_more_terms(self):
-        a = thermal_phase_variance(50.0, n_terms=40)
-        b = thermal_phase_variance(50.0, n_terms=400)
+        a = thermal_phase_variance(50.0, tol=1.0)
+        b = thermal_phase_variance(50.0, tol=1e-8)
+        assert a.terms < b.terms
         assert b.tail_bound < a.tail_bound
         assert abs(a.value - b.value) <= a.tail_bound
 
@@ -450,7 +451,7 @@ class TestThermalPhaseVariance:
         values, _ = variance_diagonal_table(5, extra=1000)
         monkeypatch.setattr(phaseops, "_VARIANCE_SUP", float(np.max(values)) / 2.0)
         with pytest.raises(ConvergenceFailure, match="row-variance cap"):
-            thermal_phase_variance(3.0, n_terms=6)
+            thermal_phase_variance(3.0, tol=0.1)
 
 
 class TestDeltaMatrixElement:
