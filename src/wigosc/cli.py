@@ -98,13 +98,12 @@ def cmd_phase_mean(args: argparse.Namespace) -> int:
         curves = _PHASE_CURVES
     times = np.arange(0.0, args.tmax + 0.5 * args.dt_out, args.dt_out)
     lines = _header("phase-mean", {"curves": [c[0] for c in curves],
-                                   "tmax": args.tmax, "dt_out": args.dt_out,
-                                   "tol": args.tol})
+                                   "tmax": args.tmax, "dt_out": args.dt_out})
     lines.append("curve,omega_t,phase_expectation")
     for label, big_d, big_b in curves:
         d = _params(big_d, big_b)
         for t in times:
-            lines.append(f"{label},{_fmt(t)},{_fmt(phase_expectation(None, d, t, tol=args.tol))}")
+            lines.append(f"{label},{_fmt(t)},{_fmt(phase_expectation(None, d, t))}")
     _emit(lines, args.out)
     return 0
 
@@ -210,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     phm.add_argument("--B", type=float, default=None, help="override: damping ratio")
     phm.add_argument("--tmax", type=float, default=60.0, help="last omega*t")
     phm.add_argument("--dt-out", dest="dt_out", type=float, default=0.25, help="omega*t output step")
-    phm.add_argument("--tol", type=float, default=1e-10, help="angular quadrature tolerance")
     phm.add_argument("--out", default=None)
     phm.set_defaults(func=cmd_phase_mean)
 

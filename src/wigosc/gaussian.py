@@ -219,13 +219,11 @@ def noise_form_longtime(d: DerivedParams) -> np.ndarray:
 class PropagatorKernel:
     """Noise-averaged Gaussian transition kernel over an elapsed time ``t``.
 
-    ``flow`` is the physical :func:`~wigosc.model.classical_flow` over ``t``;
-    ``cov`` and ``cov_physical`` are the covariance the noise adds in the
-    canonical and the physical frame.
+    ``flow`` is the physical :func:`~wigosc.model.classical_flow` over ``t``
+    and ``cov_physical`` the covariance the noise adds in the physical frame.
     """
 
     flow: np.ndarray
-    cov: np.ndarray
     cov_physical: np.ndarray
 
 
@@ -233,32 +231,29 @@ def propagator(d: DerivedParams, t: float) -> PropagatorKernel:
     """Transition kernel of the noise-averaged dynamics from 0 to ``t``.
 
     The dual-variable form is integrated out exactly: in the physical pair
-    the added covariance is ``[[eps^2*Q_bb, Q_ab], [Q_ab, Q_aa/eps^2]]``, and
-    the canonical version rescales the x-row/column by ``exp(beta*t)``.
+    the added covariance is ``[[eps^2*Q_bb, Q_ab], [Q_ab, Q_aa/eps^2]]``.
+    Nothing grows like ``exp(beta*t)``, so the kernel is finite at every ``t``.
     """
-    flow = classical_flow(d, t)
     (q_aa, q_ab), (_, q_bb) = noise_form(d, t).tolist()
     e2 = d.eps ** 2
-    xx, yy = e2 * q_bb, q_aa / e2
-    s = math.exp(d.beta * t)
-    return PropagatorKernel(
-        flow=flow,
-        cov=np.array([[(s * xx) * s, s * q_ab], [q_ab * s, yy]]),
-        cov_physical=np.array([[xx, q_ab], [q_ab, yy]]),
-    )
+    return PropagatorKernel(flow=classical_flow(d, t),
+                            cov_physical=np.array([[e2 * q_bb, q_ab], [q_ab, q_aa / e2]]))
 
 
 def evolve(state: Gaussian2D, d: DerivedParams, t: float) -> Gaussian2D:
     """Push a Gaussian state from time 0 to ``t`` through the averaged dynamics.
 
-    The canonical flow is the physical one with its x row scaled by
-    ``exp(beta*t)``; mass is preserved.
+    The canonical flow and noise covariance are the physical ones with the x
+    row (and column) scaled by ``s = exp(beta*t)``; mass is preserved.
     """
     kern = propagator(d, t)
+    s = math.exp(d.beta * t)
     m_can = kern.flow.copy()
-    m_can[0] *= math.exp(d.beta * t)
+    m_can[0] *= s
+    (xx, q_ab), (_, yy) = kern.cov_physical.tolist()
+    noise = np.array([[(s * xx) * s, s * q_ab], [q_ab * s, yy]])
     mean = m_can @ state.mean
-    cov = m_can @ state.cov @ m_can.T + kern.cov
+    cov = m_can @ state.cov @ m_can.T + noise
     return Gaussian2D(mean, cov, state.log_mass)
 
 

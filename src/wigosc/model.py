@@ -109,8 +109,6 @@ class DerivedParams:
     eps : float
         ``sqrt(omega_damped/omega)``; rescales the dual integration
         variables of the averaged propagator.
-    alpha : float
-        Inverse length scale ``sqrt(m*omega/hbar)``.
     noise_number : float
         ``mu / (m * omega_damped**2 * hbar)``.
     temperature_number : float
@@ -125,7 +123,6 @@ class DerivedParams:
     params: ModelParams
     omega_damped: float
     eps: float
-    alpha: float
     noise_number: float
     temperature_number: float
     damping_ratio: float
@@ -153,7 +150,6 @@ def derive(params: ModelParams) -> DerivedParams:
         params=params,
         omega_damped=omega_damped,
         eps=math.sqrt(omega_damped / w),
-        alpha=math.sqrt(m * w / hbar),
         noise_number=mu / (m * omega_damped ** 2 * hbar),
         temperature_number=2.0 * params.theta / (hbar * w),
         damping_ratio=b / w,

@@ -1,8 +1,9 @@
 """Expectation values built on the Gaussian engine.
 
-Survival probabilities reduce to determinants via Gaussian overlap algebra;
-angle expectations use an exact radial reduction followed by one-dimensional
-adaptive quadrature; the long-time energy generating function is closed form.
+Survival probabilities are Gaussian overlap determinants and the energy
+generating function is closed form.  A centred state's mean angle is closed
+form; other angle expectations reduce the radial integral exactly and
+integrate the angle by quadrature.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from scipy.special import erf, erfcx
 
 from .errors import QuadratureNotConverged, RequiresFriction
 from .gaussian import (_DEGENERATE_TOL, Gaussian2D, _det, _inverse, evolve, ground_state,
-                       state_overlap)
+                       propagator, state_overlap)
 from .model import DerivedParams
 from .quadrature import integrate_angular
 
@@ -69,23 +70,34 @@ def nofriction_survival(d: DerivedParams, t: float) -> float:
                            - (no / 2.0) ** 2 * math.sin(wt) ** 2)
 
 
-def _lost_weight(phi: float, q: float) -> QuadratureNotConverged:
-    return QuadratureNotConverged(f"angle weight q(phi={phi!r}) = {q!r} <= 0: state too eccentric",
-                                  math.nan, math.inf, math.nan)
+def _centred_mean_angle(cov, squeeze: float) -> float:
+    """Mean angle of the centred Gaussian ``S @ cov @ S``, ``S = diag(1/squeeze, 1)``.
+
+    The angular central Gaussian law (Tyler, Biometrika 1987) gives
+    ``atan2(-b, d + sqrt(det))`` for the covariance ``[[a, b], [b, d]]``;
+    ``S`` scales both arguments by ``1/squeeze``.  No term cancels, and
+    ``sqrt(pivot)*sqrt(Schur complement)`` stays finite where ``det``
+    overflows.  ``0.0 - b`` keeps ``+0.0`` for an uncorrelated state.
+    """
+    a, b, d = float(cov[0, 0]), float(cov[0, 1]), float(cov[1, 1])
+    hi, lo = max(a, d), min(a, d)
+    schur = lo - b * (b / hi) if hi > 0.0 else 0.0  # det = hi*schur, as in _det
+    if hi * schur <= _DEGENERATE_TOL:
+        raise ValueError("degenerate covariance has no angle density")
+    return math.atan2(0.0 - b, squeeze * d + math.sqrt(hi) * math.sqrt(schur))
 
 
 def _angle_profile(state: Gaussian2D):
-    """Radial reduction of a Gaussian against functions of angle alone.
+    """Radial reduction of a displaced Gaussian against functions of angle alone.
 
     Returns ``(profile, norm)`` with
     ``norm * integral(f(phi) * profile(phi) dphi) = E[f(angle)]``: the radial
-    integral ``int_0^inf R * rho(R*u(phi)) dR`` is closed form.  For a
-    centred state the profile is simply ``1/q(phi)`` with
-    ``q = u^T C^{-1} u``; a non-zero mean adds an erf term, routed through
-    ``erfcx`` so nothing overflows however eccentric the state.  A point or
-    rank-1 state has no angle density and raises ``ValueError``.  If the
-    state is so eccentric that ``q`` rounds to zero or below at some angle,
-    the profile raises :class:`QuadratureNotConverged` there.
+    integral ``int_0^inf R * rho(R*u(phi)) dR`` is closed form.  With
+    ``q = u^T C^{-1} u`` it is ``1/q(phi)`` plus an erf term in the mean,
+    routed through ``erfcx`` so nothing overflows however eccentric the
+    state.  A point or rank-1 state has no angle density and raises
+    ``ValueError``.  If the state is so eccentric that ``q`` rounds to zero
+    or below at some angle, the profile raises :class:`QuadratureNotConverged`.
     """
     det = _det(state.cov)
     if det <= _DEGENERATE_TOL:
@@ -93,15 +105,6 @@ def _angle_profile(state: Gaussian2D):
     i00, i01, i11 = _inverse(state.cov, det)
     m0, m1 = state.mean.tolist()
     norm = state.mass / (2.0 * math.pi * math.sqrt(det))
-    if m0 == 0.0 and m1 == 0.0:
-        def centred(phi: float) -> float:
-            c, s = math.cos(phi), math.sin(phi)
-            q = i00 * c * c + 2.0 * i01 * c * s + i11 * s * s
-            if q <= 0.0:
-                raise _lost_weight(phi, q)
-            return 1.0 / q
-        return centred, norm
-
     g0, g1 = i00 * m0 + i01 * m1, i01 * m0 + i11 * m1
     w = m0 * g0 + m1 * g1
     damp = math.exp(-w / 2.0)
@@ -111,7 +114,8 @@ def _angle_profile(state: Gaussian2D):
         c, s = math.cos(phi), math.sin(phi)
         q = i00 * c * c + 2.0 * i01 * c * s + i11 * s * s
         if q <= 0.0:
-            raise _lost_weight(phi, q)
+            raise QuadratureNotConverged(f"angle weight q(phi={phi!r}) = {q!r} <= 0: "
+                                         "state too eccentric", math.nan, math.inf, math.nan)
         lin = c * g0 + s * g1
         h = lin / math.sqrt(2.0 * q)
         if h >= 0.0:
@@ -127,10 +131,11 @@ def _angle_profile(state: Gaussian2D):
 def mean_angle(state: Gaussian2D, tol: float = 1e-10) -> float:
     """Expectation of the polar angle ``atan2(y, x)`` on [-pi, pi) in ``state``.
 
-    The radial integral is done in closed form and the remaining angular
-    integral by adaptive quadrature.  Signs follow the branch convention
-    ``x + i*y = R*exp(i*phi)``, ``phi in [-pi, pi)``.
+    Closed form for a centred state, else angular quadrature to ``tol``.
+    Signs follow the branch convention ``x + i*y = R*exp(i*phi)``.
     """
+    if not state.mean.any():  # centred
+        return state.mass * _centred_mean_angle(state.cov, 1.0)
     profile, norm = _angle_profile(state)
     return norm * integrate_angular(lambda phi: phi * profile(phi), tol=tol)
 
@@ -139,12 +144,17 @@ def phase_expectation(state0: Gaussian2D | None, d: DerivedParams, t: float,
                       tol: float = 1e-10) -> float:
     """Expectation of the quantised phase at time ``t``.
 
-    ``state0`` is the initial state (ground state when ``None``).  The state
-    is evolved with the averaged propagator and the angle averaged against
-    it; for any initial state the value decays to zero at long times.
+    ``state0`` is the initial state (ground state when ``None``).  A centred
+    start's physical covariance ``F C0 F^T + cov_physical`` gives the value
+    in closed form at every ``beta*t``; a displaced start is evolved and
+    averaged by :func:`mean_angle` to ``tol``.  Both decay to zero.
     """
-    state = evolve(ground_state() if state0 is None else state0, d, t)
-    return mean_angle(state, tol=tol)
+    state0 = ground_state() if state0 is None else state0
+    if state0.mean.any():  # displaced
+        return mean_angle(evolve(state0, d, t), tol=tol)
+    kern = propagator(d, t)
+    cov = kern.flow @ state0.cov @ kern.flow.T + kern.cov_physical
+    return state0.mass * _centred_mean_angle(cov, math.exp(-d.beta * t))
 
 
 def thermal_angle_expectation(phi_func: Callable[[float], float],

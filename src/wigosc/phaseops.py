@@ -329,9 +329,7 @@ def _tail_integral_grow(u: float, a: float) -> float:
 
 
 def _tail_integral_decay(u: float, a: float) -> float:
-    """``int_u^inf dx / (x**2 * sqrt(x + a))`` (rows with odd index)."""
-    if a == 0.0:
-        return (2.0 / 3.0) * u ** -1.5
+    """``int_u^inf dx / (x**2 * sqrt(x + a))`` (rows with odd index, so ``a >= 1``)."""
     r, sa = math.sqrt(u + a), math.sqrt(a)
     return r / (a * u) - math.log((r + sa) / (r - sa)) / (2.0 * a * sa)
 

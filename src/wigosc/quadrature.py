@@ -1,8 +1,8 @@
 """Adaptive quadrature with an explicit convergence contract.
 
 Thin wrapper over QUADPACK's adaptive Gauss-Kronrod rule (``scipy.integrate
-.quad``): callers get either a value whose reported error estimate meets the
-requested tolerance or a :class:`~wigosc.errors.QuadratureNotConverged`. The
+.quad``): callers get either an unflagged value whose reported error estimate
+meets the requested tolerance or a :class:`~wigosc.errors.QuadratureNotConverged`. The
 angular integrands in this package develop sharp features at multiples of
 pi/2 at strong damping, so ``integrate_angular`` always splits the period at
 the fixed break points ``_EDGES``, the multiples of pi/2.
@@ -25,11 +25,11 @@ _EDGES = (-math.pi, -math.pi / 2.0, 0.0, math.pi / 2.0, math.pi)
 
 def integrate(f: Callable[[float], float], a: float, b: float,
               tol: float = 1e-10) -> float:
-    """Integrate ``f`` on ``[a, b]`` to absolute tolerance ``tol``."""
-    value, err = quad(f, a, b, epsabs=tol, epsrel=tol, limit=_LIMIT)
-    if not math.isfinite(value) or err > max(tol, 10.0 * tol * abs(value)):
-        raise QuadratureNotConverged(f"integral on [{a}, {b}] did not converge",
-                                     value, err, tol)
+    """Integrate ``f`` on ``[a, b]`` to ``tol``; a result QUADPACK flags raises."""
+    value, err, _, *flag = quad(f, a, b, epsabs=tol, epsrel=tol, limit=_LIMIT, full_output=1)
+    if flag or not math.isfinite(value) or err > max(tol, 10.0 * tol * abs(value)):
+        reason = flag[0].split("\n")[0] if flag else "did not converge"
+        raise QuadratureNotConverged(f"integral on [{a}, {b}]: {reason}", value, err, tol)
     return value
 
 

@@ -75,7 +75,9 @@ def test_criterion_3_thermalization():
     th_ok = th_gap < 1e-6
 
     # the exact propagator covariance still carries its O(e^{-beta t}) transient
-    exact_gap = float(np.max(np.abs(propagator(d, t).cov - target) / scale))
+    s = np.diag([math.exp(bt), 1.0])
+    exact_cov = s @ propagator(d, t).cov_physical @ s
+    exact_gap = float(np.max(np.abs(exact_cov - target) / scale))
     transient_ok = 1e-8 < exact_gap < 2e-4
 
     cfg = SdeConfig(dt=0.005, n_steps=int(round(t / 0.005)), n_trajectories=100_000,

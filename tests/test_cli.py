@@ -79,6 +79,14 @@ class TestPhaseMeanCommand:
             assert val == pytest.approx(phase_expectation(None, d, t), abs=1e-12)
 
 
+    def test_tol_flag_rejected(self):
+        # every curve starts from the centred ground state, whose phase mean
+        # is closed form: there is no quadrature tolerance to set
+        with pytest.raises(SystemExit) as err:
+            main(["phase-mean", "--tol", "1e-10"])
+        assert err.value.code == 2
+
+
 class TestSpectrumCommand:
     def test_eigenvalue_count_and_zero_time_case(self, tmp_path):
         out = tmp_path / "spec.csv"
@@ -107,7 +115,7 @@ class TestGoldenBytes:
 
     GOLDEN = {
         "survival": "56f4e34ec7c7b2b28e8e109eb45c16557563c255c95f3af4514aa8a793813239",
-        "phase-mean": "30883c72483d75dd80f2012b0ff94d9c9abec505fca02a7ae71499b8f982737c",
+        "phase-mean": "ef9395e7c61c086bff62184b04b262d89a7408f99af700a761741864fd4be296",
         "spectrum": "ca618423826c59fac3fd8ec539508d9616d58946b15ed5ce654599c0d2534270",
     }
 

@@ -183,7 +183,7 @@ class TestNoiseForm:
 class TestPropagator:
     def test_zero_time_is_delta(self, d_default):
         kern = propagator(d_default, 0.0)
-        np.testing.assert_array_equal(kern.cov, np.zeros((2, 2)))
+        np.testing.assert_array_equal(kern.cov_physical, np.zeros((2, 2)))
         np.testing.assert_array_equal(kern.flow, np.eye(2))
 
     def test_thermal_limit_of_covariance(self, d_default):
@@ -191,7 +191,9 @@ class TestPropagator:
         t = 10.0 / d_default.beta
         half_d = d_default.temperature_number / 2.0
         target = np.diag([half_d * math.exp(2.0 * d_default.beta * t), half_d])
-        rel = np.abs(propagator(d_default, t).cov - target) / target[0, 0]
+        s = np.diag([math.exp(d_default.beta * t), 1.0])
+        cov = s @ propagator(d_default, t).cov_physical @ s
+        rel = np.abs(cov - target) / target[0, 0]
         assert np.max(rel) < 5.0 * math.exp(-d_default.beta * t)
 
     def test_physical_covariance_solves_lyapunov_equation(self):
@@ -225,12 +227,18 @@ class TestPropagator:
         np.testing.assert_allclose(k2.flow @ c1 @ k2.flow.T + k2.cov_physical, c12, rtol=1e-13,
                                    atol=1e-13 * float(np.max(np.abs(c12))) + TINY)
 
+    def test_finite_far_past_exp_overflow(self, d_default):
+        # exp(beta*t) overflows from beta*t ~ 709.8; the kernel never forms it
+        kern = propagator(d_default, 1000.0 / d_default.beta)
+        assert np.all(np.isfinite(kern.flow)) and np.all(np.isfinite(kern.cov_physical))
+
     def test_small_friction_continuity(self):
         eps = derive(ModelParams(mass=1.0, omega=1.0, beta=1e-8, mu=0.4))
         free = derive(ModelParams(mass=1.0, omega=1.0, beta=0.0, mu=0.4))
         for t in (0.7, 3.0, 12.0):
             ka, kb = propagator(eps, t), propagator(free, t)
-            np.testing.assert_allclose(ka.cov, kb.cov, atol=1e-5)
+            s = np.diag([math.exp(eps.beta * t), 1.0])
+            np.testing.assert_allclose(s @ ka.cov_physical @ s, kb.cov_physical, atol=1e-5)
             np.testing.assert_allclose(ka.flow, kb.flow, atol=1e-5)
 
 

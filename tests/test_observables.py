@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
-from oracles import energy_weyl_symbol, phase_expectation_linalg, survival_linalg
-from wigosc import (Gaussian2D, ModelParams, QuadratureNotConverged, RequiresFriction, derive,
-                    energy_generating_function, evolve, ground_state, longtime_survival,
-                    mean_angle, nofriction_survival, phase_expectation, survival_probability,
-                    thermal_angle_expectation, thermal_state)
+from oracles import (energy_weyl_symbol, mean_angle_exact, phase_expectation_linalg,
+                     survival_linalg)
+from wigosc import (Gaussian2D, ModelParams, QuadratureNotConverged, RequiresFriction,
+                    coherent_state, derive, energy_generating_function, evolve, ground_state,
+                    longtime_survival, mean_angle, nofriction_survival, phase_expectation,
+                    propagator, survival_probability, thermal_angle_expectation, thermal_state)
 from wigosc.observables import _angle_profile
 
 PI2_3 = math.pi ** 2 / 3.0
@@ -22,7 +23,7 @@ _LOG_D = st.floats(0.0, math.log(1e7))
 _DAMPING = st.floats(0.01, 1.9)
 
 # A sweep point (D, B, beta*t) whose evolved canonical covariance is so
-# eccentric that the angle weight q(phi) rounds to exactly zero
+# eccentric that the displaced angle weight q(phi) rounds to exactly zero
 ECCENTRIC = (1573.942557235534, 0.27694667405087636, 351.1414149356428)
 
 
@@ -42,7 +43,11 @@ def survival_oracle(d, t):
 
 
 def angle_oracle(state):
-    """2-D tensor quadrature of the angle against a Gaussian density."""
+    """2-D tensor quadrature of the angle against a Gaussian density.
+
+    The box is cut into quadrants at the axes, so that atan2's branch cut on
+    the negative x axis and its kink at the origin lie on panel edges.
+    """
     inv = np.linalg.inv(state.cov)
     det = float(np.linalg.det(state.cov))
     m = state.mean
@@ -53,9 +58,11 @@ def angle_oracle(state):
         return math.atan2(y, x) * math.exp(-0.5 * quad_form)
 
     width = 7.0 * math.sqrt(float(np.max(np.diag(state.cov))))
-    lo0, hi0 = m[0] - width, m[0] + width
-    lo1, hi1 = m[1] - width, m[1] + width
-    val, _ = dblquad(f, lo0, hi0, lo1, hi1, epsabs=1e-11, epsrel=1e-11)
+    edges = [(m[k] - width, min(max(0.0, m[k] - width), m[k] + width), m[k] + width)
+             for k in (0, 1)]
+    val = sum(dblquad(f, x0, x1, y0, y1, epsabs=1e-11, epsrel=1e-11)[0]
+              for x0, x1 in zip(edges[0], edges[0][1:])
+              for y0, y1 in zip(edges[1], edges[1][1:]))
     return val / (2 * math.pi * math.sqrt(det))
 
 
@@ -162,7 +169,21 @@ class TestLongtimeSurvival:
             longtime_survival(d_free, 1.0)
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def ground_start_angle_mpmath(d, t):
+    """Phase mean of the evolved ground state from its float physical covariance, in 40 digits.
+
+    ``atan2(-b, exp(-beta*t)*d + sqrt(det))`` for ``F (I/2) F^T + cov_physical
+    = [[a, b], [b, d]]``, with ``exp(-beta*t)`` exact.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    kern = propagator(d, t)
+    (a, b), (_, c) = (kern.flow @ ground_state().cov @ kern.flow.T + kern.cov_physical).tolist()
+    with mpmath.workdps(40):
+        a, b, c = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(c)
+        squeeze = mpmath.exp(-mpmath.mpf(d.beta) * mpmath.mpf(t))
+        return mpmath.atan2(-b, squeeze * c + mpmath.sqrt(a * c - b * b))
+
+
 class TestMeanAngle:
     def test_isotropic_centred_state_gives_zero(self):
         assert mean_angle(ground_state()) == pytest.approx(0.0, abs=1e-12)
@@ -221,20 +242,54 @@ class TestMeanAngle:
     @settings(max_examples=30, deadline=None)
     @given(st.floats(0.0, 10.0), _LOG_D, _DAMPING)
     def test_matches_linalg_oracle(self, beta_t, log_d, big_b):
-        # beyond beta*t ~ 11 the canonical-frame quadrature is a known defect
+        pytest.importorskip("mpmath")
         d = derive(ModelParams.from_dimensionless(math.exp(log_d), big_b))
         t = beta_t / d.beta
         assert phase_expectation(None, d, t) == pytest.approx(
             phase_expectation_linalg(d, t), abs=1e-14)
 
+    @pytest.mark.parametrize("cov", [[[0.9, 0.3], [0.3, 0.6]], [[40.0, -6.0], [-6.0, 1.0]],
+                                     [[0.02, 0.1], [0.1, 3.0]]])
+    def test_closed_form_matches_exact_angle_integral(self, cov):
+        # the angular central Gaussian identity against the angle integral itself
+        pytest.importorskip("mpmath")
+        exact = mean_angle_exact(cov)
+        assert abs(mean_angle(Gaussian2D(np.zeros(2), np.array(cov))) - exact) <= 4.0 * EPS * abs(exact)
+
+    def test_centred_states_need_no_quadrature(self, d_default, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("quadrature called for a centred state")
+
+        monkeypatch.setattr("wigosc.observables.integrate_angular", refuse)
+        assert mean_angle(ground_state()) == 0.0
+        assert mean_angle(evolve(ground_state(), d_default, 3.0)) < 0.0
+        for bt in (0.0, 0.5, 12.0, 1e3):
+            assert math.isfinite(phase_expectation(None, d_default, bt / d_default.beta))
+        with pytest.raises(AssertionError, match="quadrature called"):
+            mean_angle(coherent_state(0.5, 0.0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.0, 1e3), _LOG_D, _DAMPING)
+    def test_ground_start_against_mpmath(self, beta_t, log_d, big_b):
+        # past beta*t ~ 709 the value is subnormal, hence the absolute floor
+        d = derive(ModelParams.from_dimensionless(math.exp(log_d), big_b))
+        t = beta_t / d.beta
+        val = phase_expectation(None, d, t)
+        exact = ground_start_angle_mpmath(d, t)
+        assert math.isfinite(val) and abs(val) <= math.pi
+        assert abs(val - exact) <= 4.0 * EPS * abs(exact) + 2.0 * math.ulp(0.0)
+
     def test_vanishing_angle_weight_is_loud(self):
         big_d, big_b, beta_t = ECCENTRIC
         d = derive(ModelParams.from_dimensionless(big_d, big_b))
         t = beta_t / d.beta
-        with pytest.raises(QuadratureNotConverged, match="angle weight"):
-            phase_expectation(None, d, t)
-        # the displaced profile guards the same weight
-        displaced = Gaussian2D(np.array([1.0, 1.0]), evolve(ground_state(), d, t).cov)
+        # the centred state has a closed form, in either frame
+        exact = ground_start_angle_mpmath(d, t)
+        assert abs(phase_expectation(None, d, t) - exact) <= 4.0 * EPS * abs(exact)
+        canonical = evolve(ground_state(), d, t)
+        assert abs(mean_angle(canonical) - exact) <= 4.0 * EPS * abs(exact)
+        # the displaced profile still needs q(phi) > 0
+        displaced = Gaussian2D(np.array([1.0, 1.0]), canonical.cov)
         with pytest.raises(QuadratureNotConverged, match="angle weight"):
             mean_angle(displaced)
 
