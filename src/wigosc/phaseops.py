@@ -55,6 +55,8 @@ _VARIANCE_SUP = 4.0
 # Cap on the terms one row-variance series sums before closing its bracket.
 _MAX_TERMS = 8_000_000
 
+_BRACKET_BLOCK = 2 ** 15  # rows per tail-bracket call of the variance table
+
 # p(n) = _EIG_BOUND_FACTOR * n in LAPACK's a-priori eigenvalue bound
 # p(n) * eps * ||A||_2.  With p(n) = n the bound fails for small n: against
 # 32-digit eigenvalues of random Hermitian matrices the values-only solve
@@ -218,7 +220,7 @@ def physical_phase_matrix(n_max: int, beta_t: float) -> HermitianMatrix:
     """
     _check_size(n_max)
     beta_t = _check_beta_t(beta_t)
-    gbar = g_matrix(n_max).values * attenuation(_offsets(n_max), beta_t)
+    gbar = g_matrix(n_max).values * attenuation(np.arange(n_max), beta_t)[np.abs(_offsets(n_max))]
     return _angle_matrix(gbar, phase_fourier)
 
 
@@ -320,41 +322,52 @@ def _log_c(j: np.ndarray) -> np.ndarray:
     return gammaln((j + 1.0) / 2.0) - gammaln((j + 2.0) / 2.0)
 
 
-def _tail_integral_grow(u: float, a: float) -> float:
-    """``int_u^inf sqrt(x + a) / x**2 dx`` (rows with even index)."""
-    if a == 0.0:
-        return 2.0 / math.sqrt(u)
-    r, sa = math.sqrt(u + a), math.sqrt(a)
-    return r / u + math.log((r + sa) / (r - sa)) / (2.0 * sa)
+def _libm(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    """``fn`` of each entry as a Python float, so by libm; numpy's SIMD ``log`` can miss a bit."""
+    return np.fromiter(map(fn, x.tolist()), float, count=x.size)
 
 
-def _tail_integral_decay(u: float, a: float) -> float:
-    """``int_u^inf dx / (x**2 * sqrt(x + a))`` (rows with odd index, so ``a >= 1``)."""
-    r, sa = math.sqrt(u + a), math.sqrt(a)
-    return r / (a * u) - math.log((r + sa) / (r - sa)) / (2.0 * a * sa)
+def _tail_integral_grow(u: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``int_u^inf sqrt(x + a) / x**2 dx`` (rows with even index), elementwise."""
+    r, sa = np.sqrt(u + a), np.sqrt(a)
+    with np.errstate(invalid="ignore"):
+        closed = r / u + _libm(math.log, (r + sa) / (r - sa)) / (2.0 * sa)
+    return np.where(a == 0.0, 2.0 / np.sqrt(u), closed)
 
 
-def _tail_bracket(m: int, j_top: int, c_m: float, beta_t: float | None) -> tuple[float, float]:
-    """Certified [low, high] for the series tail over ``j > j_top``.
+def _tail_integral_decay(u: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``int_u^inf dx / (x**2 * sqrt(x + a))`` (rows with odd index, so ``a >= 1``), elementwise."""
+    r, sa = np.sqrt(u + a), np.sqrt(a)
+    return r / (a * u) - _libm(math.log, (r + sa) / (r - sa)) / (2.0 * a * sa)
+
+
+def _tail_bracket(m: np.ndarray, j_top: int, c_m: np.ndarray,
+                  beta_t: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """Certified [low, high] for the series tails of rows ``m`` over ``j > j_top``.
 
     Canonical rows bracket the plain tail; physical rows treat the
     unattenuated odd-offset subsequence and the attenuated even-offset one
     separately (each parity class is sandwiched by half-integrals shifted by
-    one lattice step).
+    one lattice step).  Each row evaluates only its own parity's integral,
+    in the same operation order as a per-row scalar evaluation, so the
+    brackets do not depend on how the rows are grouped.
     """
-    if m % 2 == 0:
-        upper = lambda a: c_m * _tail_integral_grow(a - m, m + 2.0) / math.sqrt(2.0)
-        lower = lambda a: c_m * _tail_integral_grow(a - m, float(m)) / math.sqrt(2.0)
-    else:
-        upper = lambda a: math.sqrt(2.0) / c_m * _tail_integral_decay(a - m, float(m))
-        lower = lambda a: math.sqrt(2.0) / c_m * _tail_integral_decay(a - m, m + 2.0)
+    even = m % 2 == 0
+    m_e, c_e, m_o, c_o = m[even], c_m[even], m[~even], c_m[~even]
+
+    def integral(a: float, shift: float) -> np.ndarray:  # shift 2 bounds from above, 0 below
+        out = np.empty(m.shape)
+        out[even] = c_e * _tail_integral_grow(a - m_e, m_e + shift) / math.sqrt(2.0)
+        out[~even] = math.sqrt(2.0) / c_o * _tail_integral_decay(a - m_o, m_o + (2.0 - shift))
+        return out
+
     if beta_t is None:
-        return lower(j_top + 1.0), upper(float(j_top))
+        return integral(j_top + 1.0, 0.0), integral(float(j_top), 2.0)
     # physical: odd offsets keep weight 1, even offsets at least
     # (1 - tau**((j_top+1-m)/2))**2 and at most 1 of their canonical value
     tau = math.tanh(beta_t / 2.0)
-    att_min = (1.0 - tau ** ((j_top + 1 - m) / 2.0)) ** 2
-    half_low, half_up = 0.5 * lower(j_top + 2.0), 0.5 * upper(j_top - 1.0)
+    att_min = _libm(lambda k: (1.0 - tau ** k) ** 2, (j_top + 1 - m) / 2.0)
+    half_low, half_up = 0.5 * integral(j_top + 2.0, 0.0), 0.5 * integral(j_top - 1.0, 2.0)
     return half_low * (1.0 + att_min), 2.0 * half_up
 
 
@@ -392,27 +405,28 @@ def phase_variance_diagonal(m: int, kind: str = "canonical", beta_t: float = 0.0
     if kind not in ("canonical", "physical"):
         raise ValueError(f"kind must be 'canonical' or 'physical', got {kind!r}")
     bt = None if kind == "canonical" else _check_beta_t(beta_t)
-    c_m = float(np.exp(_log_c(np.array([float(m)])))[0])
+    c_m = np.exp(_log_c(np.array([float(m)])))
+    bracket = lambda span: [float(b[0]) for b in _tail_bracket(np.array([m]), m + span, c_m, bt)]
 
     span = 50_000
     while True:
-        low, high = _tail_bracket(m, m + span, c_m, bt)
+        low, high = bracket(span)
         if (high - low) / 2.0 <= tol or span >= _MAX_TERMS:
             break
         span *= 2
     span = min(span, _MAX_TERMS)
-    low, high = _tail_bracket(m, m + span, c_m, bt)
+    low, high = bracket(span)
 
     total = 0.0
     # finite part below the diagonal: lesser index is j, parity decides the ratio
     if m > 0:
         j = np.arange(0, m)
         log_c = _log_c(j.astype(float))
-        log_cm = math.log(c_m)
+        log_cm = math.log(c_m[0])
         ratio = np.where(j % 2 == 0, np.exp(log_c - log_cm), np.exp(log_cm - log_c))
         total += float(np.sum(ratio * _row_weights(m - j, bt)))
     # infinite part above the diagonal, in chunks
-    log_cm = math.log(c_m)
+    log_cm = math.log(c_m[0])
     sign = 1.0 if m % 2 == 0 else -1.0
     for start in range(m + 1, m + span + 1, 1_000_000):
         j = np.arange(start, min(start + 1_000_000, m + span + 1))
@@ -424,11 +438,12 @@ def phase_variance_diagonal(m: int, kind: str = "canonical", beta_t: float = 0.0
                             terms=m + span)
 
 
-def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full linear convolution of two real 1-D arrays by one real-FFT pass."""
-    n = a.size + b.size - 1
+def _convolve(kernel: np.ndarray, *xs: np.ndarray) -> list[np.ndarray]:
+    """Full linear convolutions of ``kernel`` with equal-length real arrays; one kernel FFT."""
+    n = kernel.size + xs[0].size - 1
     size = next_fast_len(n, real=True)
-    return irfft(rfft(a, size) * rfft(b, size), size)[:n]
+    kernel_hat = rfft(kernel, size)
+    return [irfft(rfft(x, size) * kernel_hat, size)[:n] for x in xs]
 
 
 def variance_diagonal_table(m_max: int, extra: int = 200_000,
@@ -437,9 +452,10 @@ def variance_diagonal_table(m_max: int, extra: int = 200_000,
 
     Returns ``(values, tail_bounds)``.  The factorised squares turn both the
     below-diagonal and above-diagonal partial sums into convolutions of
-    parity-masked ``c``-arrays against the offset kernel, evaluated with one
-    FFT pass; each row is then closed with its certified tail bracket beyond
-    ``j = m_max + extra``.
+    parity-masked ``c``-arrays against the offset kernel, two per FFT pass
+    with one kernel transform; the rows are then closed, in blocks of
+    ``2**15``, with their certified tail brackets beyond ``j = m_max + extra``.
+    Every value equals a row-by-row evaluation bit for bit.
     """
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
@@ -458,22 +474,22 @@ def variance_diagonal_table(m_max: int, extra: int = 200_000,
     q_odd = np.where(~even_mask, inv_c, 0.0)
 
     n_rows = m_max + 1
-    conv_pe = _convolve(p_even[:n_rows], kernel[:n_rows])[:n_rows]
-    conv_qo = _convolve(q_odd[:n_rows], kernel[:n_rows])[:n_rows]
+    conv_pe, conv_qo = (x[:n_rows] for x in _convolve(kernel[:n_rows], p_even[:n_rows],
+                                                     q_odd[:n_rows]))
     lower = inv_c[:n_rows] * conv_pe + c[:n_rows] * conv_qo
 
     # correlations sum_{d>=1} a[m+d]*kernel[d]
-    corr_inv = _convolve(inv_c, kernel[::-1])[j_top:j_top + n_rows]
-    corr_c = _convolve(c, kernel[::-1])[j_top:j_top + n_rows]
+    corr_inv, corr_c = (x[j_top:j_top + n_rows] for x in _convolve(kernel[::-1], inv_c, c))
     m_idx = np.arange(n_rows)
     upper = np.where(m_idx % 2 == 0, c[:n_rows] * corr_inv, inv_c[:n_rows] * corr_c)
 
     values = lower + upper
     bounds = np.empty(n_rows)
-    for m in range(n_rows):
-        lo, hi = _tail_bracket(m, j_top, float(c[m]), beta_t)
-        values[m] += (lo + hi) / 2.0
-        bounds[m] = (hi - lo) / 2.0
+    for i in range(0, n_rows, _BRACKET_BLOCK):
+        rows = slice(i, min(i + _BRACKET_BLOCK, n_rows))
+        lo, hi = _tail_bracket(m_idx[rows], j_top, c[rows], beta_t)
+        values[rows] += (lo + hi) / 2.0
+        bounds[rows] = (hi - lo) / 2.0
     # FFT round-off is far below the analytic bracket but is acknowledged here
     bounds += 1e-10
     return values, bounds

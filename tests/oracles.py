@@ -13,9 +13,11 @@ from typing import Callable
 
 import numpy as np
 from numpy.random import Generator, Philox
+from scipy.fft import irfft, next_fast_len, rfft
 
 from wigosc import DerivedParams, Gaussian2D, ModelParams, SdeConfig, ground_state, propagator
 from wigosc.langevin import _BLOCK
+from wigosc.phaseops import _log_c, _row_weights
 
 _I_POW = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
 
@@ -60,6 +62,71 @@ def exact_eigenvalues(a: np.ndarray, digits: int = 32) -> np.ndarray:
     with mpmath.workdps(digits):
         ev = mpmath.eighe(mpmath.matrix(a.tolist()), eigvals_only=True)
         return np.sort([float(x) for x in ev])
+
+
+def _tail_integral_grow(u: float, a: float) -> float:
+    if a == 0.0:
+        return 2.0 / math.sqrt(u)
+    r, sa = math.sqrt(u + a), math.sqrt(a)
+    return r / u + math.log((r + sa) / (r - sa)) / (2.0 * sa)
+
+
+def _tail_integral_decay(u: float, a: float) -> float:
+    r, sa = math.sqrt(u + a), math.sqrt(a)
+    return r / (a * u) - math.log((r + sa) / (r - sa)) / (2.0 * a * sa)
+
+
+def tail_bracket_scalar(m: int, j_top: int, c_m: float, beta_t: float | None) -> tuple[float, float]:
+    """Certified [low, high] of one row's variance tail beyond ``j_top``, in Python floats.
+
+    One row at a time with ``math`` (libm) calls.  Exact oracle for the
+    whole-array :func:`wigosc.phaseops._tail_bracket`.
+    """
+    if m % 2 == 0:
+        upper = lambda a: c_m * _tail_integral_grow(a - m, m + 2.0) / math.sqrt(2.0)
+        lower = lambda a: c_m * _tail_integral_grow(a - m, float(m)) / math.sqrt(2.0)
+    else:
+        upper = lambda a: math.sqrt(2.0) / c_m * _tail_integral_decay(a - m, float(m))
+        lower = lambda a: math.sqrt(2.0) / c_m * _tail_integral_decay(a - m, m + 2.0)
+    if beta_t is None:
+        return lower(j_top + 1.0), upper(float(j_top))
+    tau = math.tanh(beta_t / 2.0)
+    att_min = (1.0 - tau ** ((j_top + 1 - m) / 2.0)) ** 2
+    half_low, half_up = 0.5 * lower(j_top + 2.0), 0.5 * upper(j_top - 1.0)
+    return half_low * (1.0 + att_min), 2.0 * half_up
+
+
+def _convolve_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    n = a.size + b.size - 1
+    size = next_fast_len(n, real=True)
+    return irfft(rfft(a, size) * rfft(b, size), size)[:n]
+
+
+def variance_table_loop(m_max: int, extra: int, beta_t: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """Row variances and bounds, one FFT pass per convolution and one scalar bracket per row.
+
+    Exact oracle for :func:`wigosc.variance_diagonal_table`, which shares
+    the kernel transforms and brackets the rows as whole arrays.
+    """
+    j_top = m_max + max(extra, 2)
+    c = np.exp(_log_c(np.arange(0, j_top + 1, dtype=float)))
+    inv_c = 1.0 / c
+    with np.errstate(divide="ignore"):
+        kernel = _row_weights(np.arange(0, j_top + 1), beta_t)
+    kernel[0] = 0.0
+    even = np.arange(j_top + 1) % 2 == 0
+    n = m_max + 1
+    lower = (inv_c[:n] * _convolve_pair(np.where(even, c, 0.0)[:n], kernel[:n])[:n]
+             + c[:n] * _convolve_pair(np.where(even, 0.0, inv_c)[:n], kernel[:n])[:n])
+    corr_inv = _convolve_pair(inv_c, kernel[::-1])[j_top:j_top + n]
+    corr_c = _convolve_pair(c, kernel[::-1])[j_top:j_top + n]
+    values = lower + np.where(even[:n], c[:n] * corr_inv, inv_c[:n] * corr_c)
+    bounds = np.empty(n)
+    for m in range(n):
+        lo, hi = tail_bracket_scalar(m, j_top, float(c[m]), beta_t)
+        values[m] += (lo + hi) / 2.0
+        bounds[m] = (hi - lo) / 2.0
+    return values, bounds + 1e-10
 
 
 def evolve_linalg(state: Gaussian2D, d: DerivedParams, t: float) -> tuple[np.ndarray, np.ndarray]:

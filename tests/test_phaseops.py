@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import eval_genlaguerre
 
-from oracles import angle_matrix_loop, eigenpair_spectrum, exact_eigenvalues
+from oracles import (angle_matrix_loop, eigenpair_spectrum, exact_eigenvalues, tail_bracket_scalar,
+                     variance_table_loop)
 from wigosc import (ConvergenceFailure, SizeTooLarge, angle_operator_matrix, canonical_phase_matrix,
                     delta_matrix_element, g_coefficient, g_matrix, phase_fourier,
                     phase_variance_diagonal, physical_phase_matrix, spectrum,
                     thermal_phase_variance, variance_diagonal_table)
-from wigosc.phaseops import attenuation
+from wigosc import phaseops
+from wigosc.phaseops import _log_c, _tail_bracket, attenuation
 
 PI2_3 = math.pi ** 2 / 3.0
 PI2_4 = math.pi ** 2 / 4.0
@@ -113,7 +115,8 @@ class TestAngleOperatorMatrix:
                  (angle_operator_matrix(cos_fourier, n_max), g, cos_fourier)]
         # one callback per offset, not per entry
         assert sorted(calls) == list(range(n_max))
-        for bt in (0.0, 2.0, 800.0):
+        # the physical table attenuates the full offset grid, entry by entry
+        for bt in (0.0, 0.3, 2.0, 17.0, 800.0, math.inf):
             cases.append((physical_phase_matrix(n_max, bt),
                           g * attenuation(offsets, bt), phase_fourier))
         for built, table, fourier in cases:
@@ -340,7 +343,6 @@ class TestVarianceSeries:
     def test_row_sums_of_matrix_converge_to_series(self):
         # truncated matrix row sums approach the certified series value
         from scipy.special import gammaln
-        from wigosc.phaseops import _tail_bracket
         vals = {m: phase_variance_diagonal(m, tol=1e-9) for m in (0, 5)}
         prev_err = {m: np.inf for m in (0, 5)}
         for n_max in (150, 300, 600):
@@ -354,7 +356,7 @@ class TestVarianceSeries:
                 # independent containment: the certified tail bracket beyond
                 # the truncation must cover the actual truncation error
                 c_m = math.exp(gammaln((m + 1) / 2.0) - gammaln((m + 2) / 2.0))
-                lo, hi = _tail_bracket(m, n_max - 1, c_m, None)
+                lo, hi = tail_bracket_scalar(m, n_max - 1, c_m, None)
                 slack = vals[m].tail_bound
                 assert lo - slack <= err <= hi + slack
 
@@ -390,6 +392,38 @@ class TestVarianceSeries:
         for m in (0, 1, 7, 20, 40):
             direct = phase_variance_diagonal(m, tol=1e-8)
             assert abs(values[m] - direct.value) <= bounds[m] + direct.tail_bound
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.integers(0, 5000), min_size=1, max_size=8),
+           gap=st.integers(2, 1_000_000),
+           beta_t=st.one_of(st.none(), st.floats(0.0, 1e3), st.just(math.inf)))
+    def test_tail_bracket_matches_scalar_oracle_bit_for_bit(self, rows, gap, beta_t):
+        # the whole-array bracket gives each row exactly its scalar bracket,
+        # whatever rows share the call
+        m = np.array(rows)
+        j_top = int(m.max()) + gap
+        c_m = np.exp(_log_c(m.astype(float)))
+        low, high = _tail_bracket(m, j_top, c_m, beta_t)
+        for i, row in enumerate(rows):
+            assert (low[i], high[i]) == tail_bracket_scalar(row, j_top, float(c_m[i]), beta_t)
+
+    @pytest.mark.parametrize("beta_t", [None, 0.5, 1e3, math.inf])
+    @pytest.mark.parametrize("extra", [2, 5000])
+    @pytest.mark.parametrize("m_max", [0, 1, 300])
+    def test_table_matches_row_loop_oracle_bit_for_bit(self, m_max, extra, beta_t):
+        values, bounds = variance_diagonal_table(m_max, extra, beta_t)
+        oracle_values, oracle_bounds = variance_table_loop(m_max, extra, beta_t)
+        np.testing.assert_array_equal(values, oracle_values)
+        np.testing.assert_array_equal(bounds, oracle_bounds)
+
+    def test_table_brackets_rows_in_blocks(self, monkeypatch):
+        # one whole-table call would box every row as a Python float at once
+        calls = []
+        monkeypatch.setattr(phaseops, "_tail_bracket",
+                            lambda m, *args: calls.append(m.size) or _tail_bracket(m, *args))
+        variance_diagonal_table(100_000, extra=2)
+        assert sum(calls) == 100_001
+        assert len(calls) <= math.ceil(100_001 / 2 ** 15)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
