@@ -143,7 +143,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     evolved = evolve(ground_state(), d, args.tmax)
     checks.append(("mass_conserved", abs(evolved.mass - 1.0) < 1e-12, f"mass={_fmt(evolved.mass)}"))
 
-    unit = thermal_angle_expectation(lambda phi: 1.0, d, args.tmax / 2.0, tol=args.tol)
+    unit = thermal_angle_expectation(lambda phi: 1.0, d, args.tmax / 2.0)
     checks.append(("angle_weight_normalised", abs(unit - 1.0) < 1e-9, f"value={_fmt(unit)}"))
 
     r_grid = np.linspace(0.0, 3.0, 7)
@@ -173,8 +173,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
     lines = _header("validate", {"D": args.D, "B": args.B, "tmax": args.tmax,
                                  "dt_sim": args.dt_sim, "trajectories": args.trajectories,
-                                 "seed": args.seed, "perturb_beta": args.perturb_beta,
-                                 "tol": args.tol})
+                                 "seed": args.seed, "perturb_beta": args.perturb_beta})
     n_fail = 0
     for name, ok, detail in checks:
         status = "PASS" if ok else "FAIL"
@@ -226,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     val.add_argument("--dt-sim", dest="dt_sim", type=float, default=0.005, help="omega*dt step")
     val.add_argument("--trajectories", type=int, default=20000)
     val.add_argument("--seed", type=int, default=20240817)
-    val.add_argument("--tol", type=float, default=1e-10)
     val.add_argument("--perturb-beta", dest="perturb_beta", type=float, default=0.0,
                      help="fractional damping offset for the analytic side (negative control)")
     val.add_argument("--out", default=None)

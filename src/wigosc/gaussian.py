@@ -16,12 +16,13 @@ integrals is kept as a test oracle only.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import RequiresFriction
-from .model import DerivedParams, classical_flow
+from .model import DerivedParams, _check_time, classical_flow
 
 __all__ = [
     "Gaussian2D",
@@ -37,6 +38,7 @@ __all__ = [
 ]
 
 _DEGENERATE_TOL = 1e-300
+_LOG_MAX = math.log(sys.float_info.max)  # math.exp overflows beyond this
 
 
 def _det(m) -> float:
@@ -193,8 +195,7 @@ def noise_form(d: DerivedParams, t: float) -> np.ndarray:
     to the momentum response ``cos - g*sin`` (``g = beta/(2*omega_damped)``),
     each damped by ``exp(-beta * lag)``.
     """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t!r}")
+    _check_time(t)
     od = d.omega_damped
     c = d.beta / od
     g = c / 2.0
@@ -240,20 +241,32 @@ def propagator(d: DerivedParams, t: float) -> PropagatorKernel:
                             cov_physical=np.array([[e2 * q_bb, q_ab], [q_ab, q_aa / e2]]))
 
 
+def _canonical_overflow(beta_t: float) -> ValueError:
+    return ValueError(f"the canonical-frame state overflows a float at beta*t = {beta_t!r}; "
+                      "the physical frame stays finite: use propagator(d, t).cov_physical")
+
+
 def evolve(state: Gaussian2D, d: DerivedParams, t: float) -> Gaussian2D:
     """Push a Gaussian state from time 0 to ``t`` through the averaged dynamics.
 
     The canonical flow and noise covariance are the physical ones with the x
-    row (and column) scaled by ``s = exp(beta*t)``; mass is preserved.
+    row (and column) scaled by ``s = exp(beta*t)``; mass is preserved.  Where
+    the canonical state overflows a float (``beta*t`` past ~340-355, by ``D``)
+    this raises ``ValueError``.
     """
     kern = propagator(d, t)
-    s = math.exp(d.beta * t)
+    bt = d.beta * t
+    if bt > _LOG_MAX:
+        raise _canonical_overflow(bt)
+    s = math.exp(bt)
     m_can = kern.flow.copy()
     m_can[0] *= s
     (xx, q_ab), (_, yy) = kern.cov_physical.tolist()
     noise = np.array([[(s * xx) * s, s * q_ab], [q_ab * s, yy]])
     mean = m_can @ state.mean
     cov = m_can @ state.cov @ m_can.T + noise
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        raise _canonical_overflow(bt)
     return Gaussian2D(mean, cov, state.log_mass)
 
 
@@ -263,12 +276,17 @@ def thermal_state(d: DerivedParams, t: float) -> Gaussian2D:
     Unit mass; canonical covariance ``diag((D/2)*exp(2*beta*t), D/2)`` with
     ``D = temperature_number``, i.e. both physical marginals have variance
     ``D/2``.  Requires friction: without it the oscillator never thermalises.
+    Past ``beta*t`` ~355 no float holds the x variance, and this raises ``ValueError``.
     """
+    _check_time(t)
     if d.beta == 0.0:
         raise RequiresFriction("thermalisation requires beta > 0")
     half_d = d.temperature_number / 2.0
-    grow = math.exp(2.0 * d.beta * t)
-    return Gaussian2D(np.zeros(2), np.diag([half_d * grow, half_d]))
+    bt = d.beta * t
+    var_x = half_d * math.exp(2.0 * bt) if 2.0 * bt <= _LOG_MAX else math.inf
+    if not math.isfinite(var_x):
+        raise _canonical_overflow(bt)
+    return Gaussian2D(np.zeros(2), np.diag([var_x, half_d]))
 
 
 def state_overlap(a: Gaussian2D, b: Gaussian2D) -> float:
@@ -284,6 +302,9 @@ def state_overlap(a: Gaussian2D, b: Gaussian2D) -> float:
     """
     csum = a.cov + b.cov
     det = _det(csum)
+    if not math.isfinite(det):
+        raise ValueError("det(Ca + Cb) overflows a float: the overlap is below what the "
+                         "canonical frame can resolve")
     if det <= _DEGENERATE_TOL:
         for delta, other in ((a, b), (b, a)):
             if np.all(delta.cov == 0.0) and not other.is_degenerate:

@@ -175,6 +175,12 @@ class PhasePoint:
         return -math.pi if a == math.pi else a
 
 
+def _check_time(t: float) -> None:
+    """Reject a time that is negative, infinite or NaN (which ``t < 0`` lets through)."""
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"time must be finite and >= 0, got {t!r}")
+
+
 def classical_flow(d: DerivedParams, tau: float) -> np.ndarray:
     """Exact flow of the unforced damped oscillator over a lag ``tau``, read-only 2x2.
 
@@ -187,8 +193,7 @@ def classical_flow(d: DerivedParams, tau: float) -> np.ndarray:
     rotation when ``beta = 0`` and to the identity at ``tau = 0``.  Its
     determinant is ``exp(-beta*tau)``; it serves every window of length ``tau``.
     """
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau!r}")
+    _check_time(tau)
     od = d.omega_damped
     g = d.beta / (2.0 * od)
     c, s = math.cos(od * tau), math.sin(od * tau)

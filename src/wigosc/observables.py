@@ -2,8 +2,8 @@
 
 Survival probabilities are Gaussian overlap determinants and the energy
 generating function is closed form.  A centred state's mean angle is closed
-form; other angle expectations reduce the radial integral exactly and
-integrate the angle by quadrature.
+form; every other angle expectation is one integral over the physical
+angle, where the state is O(1) at every ``beta*t``.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from scipy.special import erf, erfcx
 from .errors import QuadratureNotConverged, RequiresFriction
 from .gaussian import (_DEGENERATE_TOL, Gaussian2D, _det, _inverse, evolve, ground_state,
                        propagator, state_overlap)
-from .model import DerivedParams
-from .quadrature import integrate_angular
+from .model import DerivedParams, _check_time
+from .quadrature import integrate
 
 __all__ = [
     "survival_probability",
@@ -46,6 +46,7 @@ def longtime_survival(d: DerivedParams, t: float) -> float:
     Uses the thermalised covariance, so it is meaningful only once memory of
     the initial state is damped out; it does not equal 1 at ``t = 0``.
     """
+    _check_time(t)
     if d.beta == 0.0:
         raise RequiresFriction("the long-time survival form requires beta > 0")
     big_d = d.temperature_number
@@ -64,6 +65,7 @@ def nofriction_survival(d: DerivedParams, t: float) -> float:
     Valid for all ``t``; the oscillator heats without bound, so this decays
     like ``1/(w*t)`` instead of exponentially.
     """
+    _check_time(t)
     no = d.noise_number_free
     wt = d.omega * t
     return 1.0 / math.sqrt((1.0 + no * wt / 2.0) ** 2
@@ -128,6 +130,31 @@ def _angle_profile(state: Gaussian2D):
     return offset, norm
 
 
+def _angle_rule(term: Callable[[float, float], float], beta_t: float, tol: float) -> float:
+    """Integral of ``term(theta, a)`` over the physical angle ``theta`` in [-pi, pi).
+
+    ``a`` is the canonical angle, ``tan a = exp(-beta_t) tan theta``.  The quadrants
+    fold onto ``theta`` in (0, pi/2), and three finite panels, summed smallest first,
+    ``z = exp(beta_t - v)`` on (0, 1], ``v = ln tan theta`` on [0, beta_t] and
+    ``w = tan theta`` on [0, 1], each get ``tol/3``.  ``a`` turns at ``v = beta_t``.
+    """
+    shrink = math.exp(-beta_t)
+
+    def fold(theta: float, a: float, jac: float) -> float:
+        return jac * (term(theta, a) + term(math.pi - theta, math.pi - a)
+                      + term(theta - math.pi, a - math.pi) + term(-theta, -a))
+
+    def by_log_tan(v: float) -> float:
+        e = math.exp(-v)
+        return fold(math.atan2(1.0, e), math.atan(math.exp(v - beta_t)), e / (1.0 + e * e))
+
+    panels = ((lambda z: fold(math.atan2(1.0, z * shrink), math.atan2(1.0, z),
+                              shrink / (1.0 + (z * shrink) ** 2)), 1.0),
+              (by_log_tan, beta_t),
+              (lambda w: fold(math.atan(w), math.atan(w * shrink), 1.0 / (1.0 + w * w)), 1.0))
+    return sum(integrate(f, 0.0, hi, tol=tol / 3.0) for f, hi in panels if hi > 0.0)
+
+
 def mean_angle(state: Gaussian2D, tol: float = 1e-10) -> float:
     """Expectation of the polar angle ``atan2(y, x)`` on [-pi, pi) in ``state``.
 
@@ -137,47 +164,38 @@ def mean_angle(state: Gaussian2D, tol: float = 1e-10) -> float:
     if not state.mean.any():  # centred
         return state.mass * _centred_mean_angle(state.cov, 1.0)
     profile, norm = _angle_profile(state)
-    return norm * integrate_angular(lambda phi: phi * profile(phi), tol=tol)
+    return _angle_rule(lambda theta, a: a * norm * profile(theta), 0.0, tol)
 
 
 def phase_expectation(state0: Gaussian2D | None, d: DerivedParams, t: float,
                       tol: float = 1e-10) -> float:
     """Expectation of the quantised phase at time ``t``.
 
-    ``state0`` is the initial state (ground state when ``None``).  A centred
-    start's physical covariance ``F C0 F^T + cov_physical`` gives the value
-    in closed form at every ``beta*t``; a displaced start is evolved and
-    averaged by :func:`mean_angle` to ``tol``.  Both decay to zero.
+    ``state0`` is the initial state (ground state when ``None``).  Its physical
+    state ``(F m0, F C0 F^T + cov_physical)`` is O(1) at every ``beta*t``: a
+    centred start's value is closed form in it, a displaced start's is its
+    physical-angle integral to ``tol``.  Both decay to zero.
     """
     state0 = ground_state() if state0 is None else state0
-    if state0.mean.any():  # displaced
-        return mean_angle(evolve(state0, d, t), tol=tol)
     kern = propagator(d, t)
     cov = kern.flow @ state0.cov @ kern.flow.T + kern.cov_physical
+    if state0.mean.any():  # displaced
+        profile, norm = _angle_profile(Gaussian2D(kern.flow @ state0.mean, cov, state0.log_mass))
+        return _angle_rule(lambda theta, a: a * norm * profile(theta), d.beta * t, tol)
     return state0.mass * _centred_mean_angle(cov, math.exp(-d.beta * t))
 
 
 def thermal_angle_expectation(phi_func: Callable[[float], float],
                               d: DerivedParams, t: float, tol: float = 1e-10) -> float:
-    """Long-time expectation of a function of angle alone.
+    """Long-time expectation of a function of the canonical angle alone.
 
-    In the canonical plane the stationary angle density is
-
-        (1/2pi) / (exp(-beta*t)*cos(phi)**2 + exp(beta*t)*sin(phi)**2),
-
-    which integrates to one for every ``beta*t`` and concentrates on the
-    ``x``-axis (``phi = 0`` and ``+-pi``) as ``beta*t`` grows.  That weight
-    is exactly the Jacobian ``d(phys angle)/d(phi)``, so in the physical
-    angle the same expectation is the plain uniform average.
+    The stationary physical angle is uniform at every ``beta*t``, so this is
+    the average of ``phi_func`` over the physical angle, to ``tol``.  In the
+    canonical angle the same law piles up on the ``x``-axis (``phi = 0`` and
+    ``+-pi``) as ``beta*t`` grows.
     """
-    bt = d.beta * t
-    lo, hi = math.exp(-bt), math.exp(bt)
-
-    def weighted(phi: float) -> float:
-        c, s = math.cos(phi), math.sin(phi)
-        return phi_func(phi) / (lo * c * c + hi * s * s)
-
-    return integrate_angular(weighted, tol=tol) / (2.0 * math.pi)
+    _check_time(t)
+    return _angle_rule(lambda theta, a: phi_func(a), d.beta * t, tol) / (2.0 * math.pi)
 
 
 def energy_generating_function(d: DerivedParams, b_param: float, t: float) -> float:
@@ -196,8 +214,9 @@ def energy_generating_function(d: DerivedParams, b_param: float, t: float) -> fl
 
     which cannot overflow; for ``K`` beyond ~745 it underflows to 0.
     """
-    if b_param < 0:
-        raise ValueError(f"b_param must be >= 0, got {b_param!r}")
+    _check_time(t)
+    if not 0.0 <= b_param < math.inf:
+        raise ValueError(f"b_param must be finite and >= 0, got {b_param!r}")
     half_hwb = d.params.hbar * d.omega * b_param / 2.0
     k = half_hwb * math.exp(-d.beta * t)
     tanhc = math.tanh(k) / k if k > 0.0 else 1.0

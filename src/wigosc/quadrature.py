@@ -2,10 +2,11 @@
 
 Thin wrapper over QUADPACK's adaptive Gauss-Kronrod rule (``scipy.integrate
 .quad``): callers get either an unflagged value whose reported error estimate
-meets the requested tolerance or a :class:`~wigosc.errors.QuadratureNotConverged`. The
-angular integrands in this package develop sharp features at multiples of
-pi/2 at strong damping, so ``integrate_angular`` always splits the period at
-the fixed break points ``_EDGES``, the multiples of pi/2.
+meets the requested tolerance or a :class:`~wigosc.errors.QuadratureNotConverged`.
+The package's angle expectations call ``integrate`` on finite panels in the
+physical angle (``observables._angle_rule``).  ``integrate_angular``, one
+period split at the multiples of pi/2 (``_EDGES``), has no caller in the
+package; it remains for the benchmark's warm-up.
 """
 
 from __future__ import annotations

@@ -200,6 +200,43 @@ def phase_expectation_linalg(d: DerivedParams, t: float) -> float:
     return mean_angle_exact(cov)
 
 
+def displaced_angle_exact(physical: Gaussian2D, beta_t: float, digits: int = 40) -> float:
+    """Mean canonical angle of ``physical``, a Gaussian in the physical frame at ``beta_t``.
+
+    The ray at physical angle ``theta`` has canonical angle
+    ``atan2(sin theta, exp(beta_t) cos theta)``.  The physical angle density
+    is the density's radial integral along that ray, in closed form with
+    ``erfc`` so nothing cancels; the angle integral is ``digits``-digit
+    tanh-sinh quadrature split at the multiples of pi/2, where the canonical
+    angle turns.  Needs ``mpmath``.  Oracle for a displaced start's
+    :func:`wigosc.phase_expectation`.
+    """
+    import mpmath
+
+    (a, b), (_, c) = np.asarray(physical.cov, dtype=float).tolist()
+    m0, m1 = physical.mean.tolist()
+    with mpmath.workdps(digits):
+        a, b, c, m0, m1 = (mpmath.mpf(v) for v in (a, b, c, m0, m1))
+        det = a * c - b * b
+        i00, i01, i11 = c / det, -b / det, a / det
+        g0, g1 = i00 * m0 + i01 * m1, i01 * m0 + i11 * m1
+        w = m0 * g0 + m1 * g1
+        stretch = mpmath.exp(mpmath.mpf(beta_t))
+
+        def weighted(theta):
+            co, si = mpmath.cos(theta), mpmath.sin(theta)
+            q = i00 * co * co + 2 * i01 * co * si + i11 * si * si
+            lin = co * g0 + si * g1
+            radial = (1 / q + lin * mpmath.sqrt(mpmath.pi / 2) * mpmath.exp(lin * lin / (2 * q))
+                      * mpmath.erfc(-lin / mpmath.sqrt(2 * q)) / q ** 1.5)
+            return mpmath.atan2(si, stretch * co) * radial
+
+        edges = [-mpmath.pi, -mpmath.pi / 2, 0, mpmath.pi / 2, mpmath.pi]
+        total = mpmath.quad(weighted, edges)
+        return float(physical.mass * mpmath.exp(-w / 2) * total
+                     / (2 * mpmath.pi * mpmath.sqrt(det)))
+
+
 @dataclass(frozen=True)
 class TimeGenerator:
     """Coefficients of the quadratic generator of the motion at one instant.

@@ -304,6 +304,15 @@ class TestEvolve:
         assert out.cov[0, 0] == pytest.approx(target.cov[0, 0], rel=1e-5)
 
 
+@pytest.mark.parametrize("beta_t", [400.0, 745.0, 1000.0])
+@pytest.mark.parametrize("make", [lambda d, t: evolve(ground_state(), d, t), thermal_state],
+                         ids=["evolve", "thermal_state"])
+def test_canonical_overflow_names_the_frame(d_default, make, beta_t):
+    # no float holds the canonical x variance ~D*exp(2*beta*t) here
+    with pytest.raises(ValueError, match=r"canonical-frame .* beta\*t = .*cov_physical"):
+        make(d_default, beta_t / d_default.beta)
+
+
 class TestThermalState:
     def test_marginal_variances(self, d_default):
         t = 3.0
@@ -328,6 +337,10 @@ class TestThermalState:
         d = derive(ModelParams(mass=1.0, omega=1.0, beta=0.0, mu=1.0))
         with pytest.raises(RequiresFriction):
             thermal_state(d, 10.0)
+
+    def test_representable_just_short_of_overflow(self, d_default):
+        cov = thermal_state(d_default, 354.1 / d_default.beta).cov
+        assert 1e307 < cov[0, 0] < math.inf
 
 
 class TestGaussian2D:

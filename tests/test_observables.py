@@ -2,16 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad
+from scipy.special import spence
 
-from oracles import (energy_weyl_symbol, mean_angle_exact, phase_expectation_linalg,
-                     survival_linalg)
+from oracles import (displaced_angle_exact, energy_weyl_symbol, mean_angle_exact,
+                     phase_expectation_linalg, survival_linalg)
 from wigosc import (Gaussian2D, ModelParams, QuadratureNotConverged, RequiresFriction,
-                    coherent_state, derive, energy_generating_function, evolve, ground_state,
-                    longtime_survival, mean_angle, nofriction_survival, phase_expectation,
-                    propagator, survival_probability, thermal_angle_expectation, thermal_state)
+                    canonical_phase_matrix, coherent_state, derive, energy_generating_function,
+                    evolve, ground_state, longtime_survival, mean_angle, nofriction_survival,
+                    phase_expectation, physical_phase_matrix, propagator, survival_probability,
+                    thermal_angle_expectation, thermal_state)
 from wigosc.observables import _angle_profile
 
 PI2_3 = math.pi ** 2 / 3.0
@@ -116,6 +118,13 @@ class TestSurvival:
         with mpmath.workdps(40):
             exact = 1 / mpmath.sqrt(mpmath.mpf(a) * c - mpmath.mpf(b) ** 2)
             assert abs(survival_probability(d, t) / exact - 1) <= 4.0 * EPS
+
+    @pytest.mark.parametrize("beta_t", [354.1, 400.0, 745.0, 1000.0])
+    def test_past_the_canonical_range_is_loud(self, d_default, beta_t):
+        # det(C + I/2) overflows from beta*t ~ 354 at D = 5, where the value
+        # is ~1e-154; the overlap must not read 1/sqrt(inf) = 0
+        with pytest.raises(ValueError, match="overflows"):
+            survival_probability(d_default, beta_t / d_default.beta)
 
     def test_longtime_asymptote(self, d_default):
         beta = d_default.beta
@@ -260,7 +269,7 @@ class TestMeanAngle:
         def refuse(*args, **kwargs):
             raise AssertionError("quadrature called for a centred state")
 
-        monkeypatch.setattr("wigosc.observables.integrate_angular", refuse)
+        monkeypatch.setattr("wigosc.observables.integrate", refuse)
         assert mean_angle(ground_state()) == 0.0
         assert mean_angle(evolve(ground_state(), d_default, 3.0)) < 0.0
         for bt in (0.0, 0.5, 12.0, 1e3):
@@ -278,6 +287,21 @@ class TestMeanAngle:
         exact = ground_start_angle_mpmath(d, t)
         assert math.isfinite(val) and abs(val) <= math.pi
         assert abs(val - exact) <= 4.0 * EPS * abs(exact) + 2.0 * math.ulp(0.0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.floats(0.0, 1e3), _LOG_D, _DAMPING, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+    def test_displaced_start_against_mpmath(self, beta_t, log_d, big_b, x0, y0):
+        # the angle integral of the same float physical state, in 40 digits
+        pytest.importorskip("mpmath")
+        assume(x0 != 0.0 or y0 != 0.0)
+        d = derive(ModelParams.from_dimensionless(math.exp(log_d), big_b))
+        t = beta_t / d.beta
+        start = coherent_state(x0, y0)
+        kern = propagator(d, t)
+        physical = Gaussian2D(kern.flow @ start.mean,
+                              kern.flow @ start.cov @ kern.flow.T + kern.cov_physical)
+        val = phase_expectation(start, d, t)
+        assert abs(val - displaced_angle_exact(physical, d.beta * t)) <= 1e-10
 
     def test_vanishing_angle_weight_is_loud(self):
         big_d, big_b, beta_t = ECCENTRIC
@@ -326,6 +350,74 @@ class TestThermalAngle:
         assert vals[0] == pytest.approx(PI2_3, rel=1e-9)  # uniform limit
         assert vals == sorted(vals)
         assert vals[-1] == pytest.approx(math.pi ** 2 / 2.0, rel=1e-3)
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.0, 1e3), _LOG_D, _DAMPING)
+    def test_moments_within_tol_over_the_domain(self, beta_t, log_d, big_b):
+        # E[phi**2] = pi**2/3 + Re Li2(tanh(beta*t/2)), Li2(w) = spence(1 - w)
+        tol = 1e-10
+        d = derive(ModelParams.from_dimensionless(math.exp(log_d), big_b))
+        t = beta_t / d.beta
+        square = PI2_3 + float(spence(1.0 - math.tanh(d.beta * t / 2.0)))
+        assert abs(thermal_angle_expectation(lambda phi: 1.0, d, t, tol=tol) - 1.0) <= tol
+        assert abs(thermal_angle_expectation(lambda phi: phi, d, t, tol=tol)) <= tol
+        assert abs(thermal_angle_expectation(lambda phi: phi * phi, d, t, tol=tol)
+                   - square) <= tol
+
+
+class TestWeylBridge:
+    """A coherent state's phase-matrix expectation equals its mean Gaussian angle.
+
+    ``c_n = exp(-|alpha|**2/2) alpha**n / sqrt(n!)`` with
+    ``alpha = (y0 + i*x0)/sqrt(2)`` is ``coherent_state(x0, y0)`` in the number
+    basis; at ``|alpha| <= 2.5`` its Poisson tail beyond ``n = 150`` is far below eps.
+    """
+
+    N = 150
+
+    @classmethod
+    def amplitudes(cls, x0, y0):
+        alpha = complex(y0, x0) / math.sqrt(2.0)
+        c = np.empty(cls.N, dtype=complex)
+        c[0] = math.exp(-abs(alpha) ** 2 / 2.0)
+        for n in range(1, cls.N):
+            c[n] = c[n - 1] * alpha / math.sqrt(n)
+        return c
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.0, 2.5), st.floats(-math.pi, math.pi), st.floats(0.0, 2.0))
+    def test_phase_matrices_match_the_angle_engine(self, radius, arg, beta_t):
+        alpha = radius * complex(math.cos(arg), math.sin(arg))
+        x0, y0 = math.sqrt(2.0) * alpha.imag, math.sqrt(2.0) * alpha.real
+        c = self.amplitudes(x0, y0)
+        start = coherent_state(x0, y0)
+        canonical = (c.conj() @ canonical_phase_matrix(self.N).values @ c).real
+        assert abs(canonical - mean_angle(start)) <= 1e-14
+        physical = (c.conj() @ physical_phase_matrix(self.N, beta_t).values @ c).real
+        assert abs(physical - mean_angle(start.physical(1.0, beta_t))) <= 1e-14
+
+
+_BAD_TIME_CALLS = {
+    "propagator": propagator,
+    "evolve": lambda d, t: evolve(ground_state(), d, t),
+    "survival_probability": survival_probability,
+    "phase_expectation": lambda d, t: phase_expectation(None, d, t),
+    "longtime_survival": longtime_survival,
+    "nofriction_survival": nofriction_survival,
+    "thermal_angle_expectation": lambda d, t: thermal_angle_expectation(lambda phi: 1.0, d, t),
+    "energy_generating_function": lambda d, t: energy_generating_function(d, 1.0, t),
+    "energy_generating_function.b_param": lambda d, t: energy_generating_function(d, t, 1.0),
+    "thermal_state": thermal_state,
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
+@pytest.mark.parametrize("call", list(_BAD_TIME_CALLS.values()), ids=list(_BAD_TIME_CALLS))
+def test_bad_time_rejected(d_default, call, bad):
+    # a NaN time passes a plain t < 0 test, and inf t gave nan or 0.0
+    with pytest.raises(ValueError):
+        call(d_default, bad)
 
 
 class TestEnergyGeneratingFunction:
