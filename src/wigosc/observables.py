@@ -135,10 +135,14 @@ def _angle_rule(term: Callable[[float, float], float], beta_t: float, tol: float
 
     ``a`` is the canonical angle, ``tan a = exp(-beta_t) tan theta``.  The quadrants
     fold onto ``theta`` in (0, pi/2), and three finite panels, summed smallest first,
-    ``z = exp(beta_t - v)`` on (0, 1], ``v = ln tan theta`` on [0, beta_t] and
+    ``z = exp(cut - v)`` on (0, 1], ``v = ln tan theta`` on [0, cut] and
     ``w = tan theta`` on [0, 1], each get ``tol/3``.  ``a`` turns at ``v = beta_t``.
+    ``cut = min(beta_t, 40)``: past ``v = 40`` the turn weighs far below ``tol``, as
+    ``theta`` is within ``exp(-40)`` of pi/2, while a ``v`` panel out to a large
+    ``beta_t`` puts every node where the weight underflows and returns ~0 unflagged.
     """
-    shrink = math.exp(-beta_t)
+    cut = min(beta_t, 40.0)
+    shrink, far, lift = math.exp(-beta_t), math.exp(-cut), math.exp(cut - beta_t)
 
     def fold(theta: float, a: float, jac: float) -> float:
         return jac * (term(theta, a) + term(math.pi - theta, math.pi - a)
@@ -148,9 +152,9 @@ def _angle_rule(term: Callable[[float, float], float], beta_t: float, tol: float
         e = math.exp(-v)
         return fold(math.atan2(1.0, e), math.atan(math.exp(v - beta_t)), e / (1.0 + e * e))
 
-    panels = ((lambda z: fold(math.atan2(1.0, z * shrink), math.atan2(1.0, z),
-                              shrink / (1.0 + (z * shrink) ** 2)), 1.0),
-              (by_log_tan, beta_t),
+    panels = ((lambda z: fold(math.atan2(1.0, z * far), math.atan2(lift, z),
+                              far / (1.0 + (z * far) ** 2)), 1.0),
+              (by_log_tan, cut),
               (lambda w: fold(math.atan(w), math.atan(w * shrink), 1.0 / (1.0 + w * w)), 1.0))
     return sum(integrate(f, 0.0, hi, tol=tol / 3.0) for f, hi in panels if hi > 0.0)
 
