@@ -10,7 +10,10 @@ Averaging the deterministic flow over realisations of the white-noise force
 turns the delta-function propagator of the quadratic generator into a Gaussian
 kernel.  Its covariance is assembled from three elementary damped-trig
 integrals with closed-form antiderivatives; adaptive quadrature of the same
-integrals is kept as a test oracle only.
+integrals is kept as a test oracle only.  ``propagator`` reads the scalar
+entries of the flow and of the noise form (``model._flow_terms``,
+``_noise_terms``), the same floats ``classical_flow`` and ``noise_form`` wrap
+as arrays.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RequiresFriction
-from .model import DerivedParams, _check_time, classical_flow
+from .model import DerivedParams, _check_time, _flow_terms
 
 __all__ = [
     "Gaussian2D",
@@ -183,6 +186,17 @@ def _damped_trig_integrals(c: float, T: float) -> tuple[float, float, float]:
     return (base - cos_part) / 2.0, sin_part / 2.0, (base + cos_part) / 2.0
 
 
+def _noise_terms(d: DerivedParams, t: float) -> tuple[float, float, float]:
+    """Entries ``(q_aa, q_ab, q_bb)`` of :func:`noise_form`, as floats."""
+    _check_time(t)
+    od = d.omega_damped
+    c = d.beta / od
+    g = c / 2.0
+    i_ss, i_sc, i_cc = _damped_trig_integrals(c, od * t)
+    n = d.noise_number
+    return n * i_ss, n * (i_sc - g * i_ss), n * (i_cc - 2.0 * g * i_sc + g * g * i_ss)
+
+
 def noise_form(d: DerivedParams, t: float) -> np.ndarray:
     """Noise quadratic form ``Q`` accumulated between 0 and ``t``, read-only 2x2.
 
@@ -195,16 +209,7 @@ def noise_form(d: DerivedParams, t: float) -> np.ndarray:
     to the momentum response ``cos - g*sin`` (``g = beta/(2*omega_damped)``),
     each damped by ``exp(-beta * lag)``.
     """
-    _check_time(t)
-    od = d.omega_damped
-    c = d.beta / od
-    g = c / 2.0
-    T = od * t
-    i_ss, i_sc, i_cc = _damped_trig_integrals(c, T)
-    n = d.noise_number
-    q_aa = n * i_ss
-    q_ab = n * (i_sc - g * i_ss)
-    q_bb = n * (i_cc - 2.0 * g * i_sc + g * g * i_ss)
+    q_aa, q_ab, q_bb = _noise_terms(d, t)
     return _readonly(np.array([[q_aa, q_ab], [q_ab, q_bb]]))
 
 
@@ -235,9 +240,9 @@ def propagator(d: DerivedParams, t: float) -> PropagatorKernel:
     the added covariance is ``[[eps^2*Q_bb, Q_ab], [Q_ab, Q_aa/eps^2]]``.
     Nothing grows like ``exp(beta*t)``, so the kernel is finite at every ``t``.
     """
-    (q_aa, q_ab), (_, q_bb) = noise_form(d, t).tolist()
+    (f00, f01, f10, f11), (q_aa, q_ab, q_bb) = _flow_terms(d, t), _noise_terms(d, t)
     e2 = d.eps ** 2
-    return PropagatorKernel(flow=classical_flow(d, t),
+    return PropagatorKernel(flow=_readonly(np.array([[f00, f01], [f10, f11]])),
                             cov_physical=np.array([[e2 * q_bb, q_ab], [q_ab, q_aa / e2]]))
 
 

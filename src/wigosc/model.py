@@ -181,6 +181,17 @@ def _check_time(t: float) -> None:
         raise ValueError(f"time must be finite and >= 0, got {t!r}")
 
 
+def _flow_terms(d: DerivedParams, tau: float) -> tuple[float, float, float, float]:
+    """Entries ``(f00, f01, f10, f11)`` of :func:`classical_flow`, as floats."""
+    _check_time(tau)
+    od = d.omega_damped
+    g = d.beta / (2.0 * od)
+    c, s = math.cos(od * tau), math.sin(od * tau)
+    damp = math.exp(-d.beta * tau / 2.0)
+    return (damp * (c - g * s), damp * (-(d.omega / od) * s),
+            damp * ((d.omega / od) * s), damp * (c + g * s))
+
+
 def classical_flow(d: DerivedParams, tau: float) -> np.ndarray:
     """Exact flow of the unforced damped oscillator over a lag ``tau``, read-only 2x2.
 
@@ -193,12 +204,7 @@ def classical_flow(d: DerivedParams, tau: float) -> np.ndarray:
     rotation when ``beta = 0`` and to the identity at ``tau = 0``.  Its
     determinant is ``exp(-beta*tau)``; it serves every window of length ``tau``.
     """
-    _check_time(tau)
-    od = d.omega_damped
-    g = d.beta / (2.0 * od)
-    c, s = math.cos(od * tau), math.sin(od * tau)
-    damp = math.exp(-d.beta * tau / 2.0)
-    mat = damp * np.array([[c - g * s, -(d.omega / od) * s],
-                           [(d.omega / od) * s, c + g * s]])
+    f00, f01, f10, f11 = _flow_terms(d, tau)
+    mat = np.array([[f00, f01], [f10, f11]])
     mat.setflags(write=False)
     return mat

@@ -3,7 +3,9 @@
 Survival probabilities are Gaussian overlap determinants and the energy
 generating function is closed form.  A centred state's mean angle is closed
 form; every other angle expectation is one integral over the physical
-angle, where the state is O(1) at every ``beta*t``.
+angle, where the state is O(1) at every ``beta*t``: of a function of the
+canonical angle alone (thermal), or of ``a * norm`` times the radial profile of
+a displaced physical state.
 """
 
 from __future__ import annotations
@@ -130,33 +132,45 @@ def _angle_profile(state: Gaussian2D):
     return offset, norm
 
 
-def _angle_rule(term: Callable[[float, float], float], beta_t: float, tol: float) -> float:
-    """Integral of ``term(theta, a)`` over the physical angle ``theta`` in [-pi, pi).
+def _angle_rule(f: Callable[[float], float], beta_t: float, tol: float,
+                weight: Callable[[float], float] | None = None) -> float:
+    """Integral of ``f(a) * weight(theta)`` over the physical angle ``theta`` in [-pi, pi).
 
-    ``a`` is the canonical angle, ``tan a = exp(-beta_t) tan theta``.  The quadrants
+    ``a`` is the canonical angle, ``tan a = exp(-beta_t) tan theta``; without a
+    ``weight`` the integrand is ``f(a)`` and ``theta`` is never formed.  The quadrants
     fold onto ``theta`` in (0, pi/2), and three finite panels, summed smallest first,
     ``z = exp(cut - v)`` on (0, 1], ``v = ln tan theta`` on [0, cut] and
     ``w = tan theta`` on [0, 1], each get ``tol/3``.  ``a`` turns at ``v = beta_t``.
     ``cut = min(beta_t, 40)``: past ``v = 40`` the turn weighs far below ``tol``, as
     ``theta`` is within ``exp(-40)`` of pi/2, while a ``v`` panel out to a large
     ``beta_t`` puts every node where the weight underflows and returns ~0 unflagged.
+    A weighted panel is integrated as two halves at ``tol/6`` each: on a smooth peak
+    one 21-point rule alone can under-report its error past ``tol``.
     """
     cut = min(beta_t, 40.0)
     shrink, far, lift = math.exp(-beta_t), math.exp(-cut), math.exp(cut - beta_t)
+    pi = math.pi
 
-    def fold(theta: float, a: float, jac: float) -> float:
-        return jac * (term(theta, a) + term(math.pi - theta, math.pi - a)
-                      + term(theta - math.pi, a - math.pi) + term(-theta, -a))
+    # each panel passes ``theta`` as ``weight and ...``: None unless a weight reads it
+    def fold(a: float, jac: float, theta: float | None) -> float:
+        if weight is None:
+            return jac * (f(a) + f(pi - a) + f(a - pi) + f(-a))
+        return jac * (f(a) * weight(theta) + f(pi - a) * weight(pi - theta)
+                      + f(a - pi) * weight(theta - pi) + f(-a) * weight(-theta))
 
     def by_log_tan(v: float) -> float:
         e = math.exp(-v)
-        return fold(math.atan2(1.0, e), math.atan(math.exp(v - beta_t)), e / (1.0 + e * e))
+        return fold(math.atan(math.exp(v - beta_t)), e / (1.0 + e * e),
+                    weight and math.atan2(1.0, e))
 
-    panels = ((lambda z: fold(math.atan2(1.0, z * far), math.atan2(lift, z),
-                              far / (1.0 + (z * far) ** 2)), 1.0),
+    panels = ((lambda z: fold(math.atan2(lift, z), far / (1.0 + (z * far) ** 2),
+                              weight and math.atan2(1.0, z * far)), 1.0),
               (by_log_tan, cut),
-              (lambda w: fold(math.atan(w), math.atan(w * shrink), 1.0 / (1.0 + w * w)), 1.0))
-    return sum(integrate(f, 0.0, hi, tol=tol / 3.0) for f, hi in panels if hi > 0.0)
+              (lambda w: fold(math.atan(w * shrink), 1.0 / (1.0 + w * w),
+                              weight and math.atan(w)), 1.0))
+    parts = 1 if weight is None else 2
+    return sum(integrate(g, hi * k / parts, hi * (k + 1) / parts, tol=tol / (3 * parts))
+               for g, hi in panels if hi > 0.0 for k in range(parts))
 
 
 def mean_angle(state: Gaussian2D, tol: float = 1e-10) -> float:
@@ -168,7 +182,7 @@ def mean_angle(state: Gaussian2D, tol: float = 1e-10) -> float:
     if not state.mean.any():  # centred
         return state.mass * _centred_mean_angle(state.cov, 1.0)
     profile, norm = _angle_profile(state)
-    return _angle_rule(lambda theta, a: a * norm * profile(theta), 0.0, tol)
+    return _angle_rule(lambda a: a * norm, 0.0, tol, profile)
 
 
 def phase_expectation(state0: Gaussian2D | None, d: DerivedParams, t: float,
@@ -185,7 +199,7 @@ def phase_expectation(state0: Gaussian2D | None, d: DerivedParams, t: float,
     cov = kern.flow @ state0.cov @ kern.flow.T + kern.cov_physical
     if state0.mean.any():  # displaced
         profile, norm = _angle_profile(Gaussian2D(kern.flow @ state0.mean, cov, state0.log_mass))
-        return _angle_rule(lambda theta, a: a * norm * profile(theta), d.beta * t, tol)
+        return _angle_rule(lambda a: a * norm, d.beta * t, tol, profile)
     return state0.mass * _centred_mean_angle(cov, math.exp(-d.beta * t))
 
 
@@ -199,7 +213,7 @@ def thermal_angle_expectation(phi_func: Callable[[float], float],
     ``+-pi``) as ``beta*t`` grows.
     """
     _check_time(t)
-    return _angle_rule(lambda theta, a: phi_func(a), d.beta * t, tol) / (2.0 * math.pi)
+    return _angle_rule(phi_func, d.beta * t, tol) / (2.0 * math.pi)
 
 
 def energy_generating_function(d: DerivedParams, b_param: float, t: float) -> float:

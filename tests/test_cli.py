@@ -1,6 +1,8 @@
 import hashlib
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,6 +193,9 @@ class TestStartup:
         # scipy.stats and scipy.signal each cost most of a second to import
         code = ("import sys, wigosc; "
                 "print(sorted(m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules))")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, timeout=120)
+                             check=True, timeout=120, env=env)
         assert out.stdout.strip() == "[]"

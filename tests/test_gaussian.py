@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
 from oracles import evolve_linalg, overlap_linalg
-from wigosc import (Gaussian2D, ModelParams, RequiresFriction, coherent_state, derive,
-                    evolve, ground_state, noise_form, noise_form_longtime, propagator,
+from wigosc import (Gaussian2D, ModelParams, RequiresFriction, classical_flow, coherent_state,
+                    derive, evolve, ground_state, noise_form, noise_form_longtime, propagator,
                     state_overlap, thermal_state)
 from wigosc.gaussian import _damped_trig_integrals, _det, _inverse, _min_eig
 
@@ -231,6 +231,27 @@ class TestPropagator:
         # exp(beta*t) overflows from beta*t ~ 709.8; the kernel never forms it
         kern = propagator(d_default, 1000.0 / d_default.beta)
         assert np.all(np.isfinite(kern.flow)) and np.all(np.isfinite(kern.cov_physical))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.0, 1e3), st.floats(0.0, math.log(1e7)),
+           st.one_of(st.just(0.0), st.floats(0.01, 1.99)))
+    def test_scalar_cores_match_the_array_forms_bitwise(self, beta_t, log_d, big_b):
+        # propagator builds from the same float entries as classical_flow and noise_form
+        d = derive(ModelParams.from_dimensionless(math.exp(log_d), big_b))
+        t = beta_t / d.beta if d.beta > 0.0 else beta_t
+        od = d.omega_damped
+        g = d.beta / (2.0 * od)
+        c, s = math.cos(od * t), math.sin(od * t)
+        flow = math.exp(-d.beta * t / 2.0) * np.array([[c - g * s, -(d.omega / od) * s],
+                                                       [(d.omega / od) * s, c + g * s]])
+        (q_aa, q_ab), (_, q_bb) = noise_form(d, t).tolist()
+        e2 = d.eps ** 2
+        kern = propagator(d, t)
+        np.testing.assert_array_equal(classical_flow(d, t), flow)
+        np.testing.assert_array_equal(kern.flow, flow)
+        np.testing.assert_array_equal(kern.cov_physical,
+                                      np.array([[e2 * q_bb, q_ab], [q_ab, q_aa / e2]]))
+        assert not kern.flow.flags.writeable
 
     def test_small_friction_continuity(self):
         eps = derive(ModelParams(mass=1.0, omega=1.0, beta=1e-8, mu=0.4))

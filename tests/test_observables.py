@@ -303,6 +303,12 @@ class TestMeanAngle:
         val = phase_expectation(start, d, t)
         assert abs(val - displaced_angle_exact(physical, d.beta * t)) <= 1e-10
 
+    def test_displaced_default_tol_point(self):
+        # one 21-point rule on the unsplit z panel under-reported its error here: off by 1.4e-10
+        pytest.importorskip("mpmath")
+        state = coherent_state(1.0, 1.0).physical(1.0, 1.5)
+        assert abs(mean_angle(state) - displaced_angle_exact(state, 0.0)) <= 1e-10
+
     def test_vanishing_angle_weight_is_loud(self):
         big_d, big_b, beta_t = ECCENTRIC
         d = derive(ModelParams.from_dimensionless(big_d, big_b))
@@ -372,6 +378,28 @@ class TestThermalAngle:
         # a single log-tan panel out to beta*t lost the quarter theta in
         # (pi/4, pi/2) of every quadrant from beta*t ~ 2e4: E[1] read 0.5
         self.assert_moments_within_tol(d_default, beta_t / d_default.beta)
+
+
+# (D, B, beta*t, E[cos], E[phi**2], ground-start phase mean), recorded at commit
+# 608f92f: a faster angle rule or propagator must reproduce them bit for bit
+GOLDEN = [
+    (5.0, 0.05, 0.3, 3.61773542051074e-17, 3.4446955318963264, -0.0032802251980020816),
+    (1000.0, 0.5, 2.5, 1.4402624130746174e-17, 4.466626154861426, -0.04381248942534202),
+    (30.0, 1.2, 7.0, 1.7127191954509146e-19, 4.921475391289592, -0.0016509205021929124),
+    (2.0, 0.3, 15.0, 3.0357758107805325e-23, 4.934792835740991, -2.5616953034807034e-08),
+    (1000000.0, 1.9, 33.0, 1.3352043282064037e-31, 4.934802200544368, -5.2059444181987876e-14),
+    (200.0, 0.8, 120.0, 0.0, 4.93480220054468, 1.7067119241055484e-55),
+]
+
+
+@pytest.mark.parametrize("big_d, big_b, beta_t, cos_mean, square_mean, phase_mean", GOLDEN,
+                         ids=[f"bt{row[2]:g}" for row in GOLDEN])
+def test_golden_values_bit_for_bit(big_d, big_b, beta_t, cos_mean, square_mean, phase_mean):
+    d = derive(ModelParams.from_dimensionless(big_d, big_b))
+    t = beta_t / d.beta
+    assert thermal_angle_expectation(math.cos, d, t) == cos_mean
+    assert thermal_angle_expectation(lambda phi: phi * phi, d, t) == square_mean
+    assert phase_expectation(None, d, t) == phase_mean
 
 
 class TestWeylBridge:
