@@ -14,6 +14,7 @@ full configuration, so byte-identical reruns are possible with a fixed seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import subprocess
 import sys
@@ -35,6 +36,7 @@ PI2_3 = math.pi ** 2 / 3.0
 PI2_4 = math.pi ** 2 / 4.0
 
 
+@functools.cache
 def _git_hash() -> str:
     try:
         out = subprocess.run(["git", "rev-parse", "--short", "HEAD"],

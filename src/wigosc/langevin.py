@@ -23,6 +23,10 @@ Its volume error is only ``O((beta*dt)**2)`` per step; the fully explicit
 update of the same weak order was rejected because its phase-space volume
 grows by ``1 + (omega*dt)**2`` per step, which over many periods swamps the
 statistical resolution of large ensembles.
+
+The module needs no SciPy: the Bonferroni threshold of
+:func:`compare_to_propagator` comes from ``math.erfc`` and
+``statistics.NormalDist``.
 """
 
 from __future__ import annotations
@@ -31,13 +35,13 @@ import hashlib
 import math
 import operator
 import os
+import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from time import perf_counter
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.special import ndtr, ndtri
 
 from .errors import ParameterMismatch, StepTooLarge
 from .gaussian import Gaussian2D, ground_state, propagator
@@ -318,8 +322,8 @@ _BASE_Z = 3.0
 
 def bonferroni_threshold(n_comparisons: int) -> float:
     """z threshold giving a whole-family false-alarm rate of a single 3-sigma test."""
-    p_single = 2.0 * ndtr(-_BASE_Z)
-    return float(-ndtri(p_single / (2.0 * n_comparisons)))
+    p_single = math.erfc(_BASE_Z / math.sqrt(2.0))
+    return -statistics.NormalDist().inv_cdf(p_single / (2.0 * n_comparisons))
 
 
 def compare_to_propagator(report: MomentReport, d: DerivedParams,

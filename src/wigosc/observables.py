@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from scipy.special import erf, erfcx
+import scipy
 
 from .errors import QuadratureNotConverged, RequiresFriction
 from .gaussian import (_DEGENERATE_TOL, Gaussian2D, _det, _inverse, evolve, ground_state,
@@ -113,6 +113,7 @@ def _angle_profile(state: Gaussian2D):
     w = m0 * g0 + m1 * g1
     damp = math.exp(-w / 2.0)
     half_rt_pi = math.sqrt(math.pi / 2.0)
+    erf, erfcx = scipy.special.erf, scipy.special.erfcx
 
     def offset(phi: float) -> float:
         c, s = math.cos(phi), math.sin(phi)

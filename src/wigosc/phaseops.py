@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.special import gammaln
+import scipy
 
 from .errors import ConvergenceFailure, SizeTooLarge
 
@@ -107,8 +106,8 @@ def g_coefficient(m: int, n: int) -> float:
     nl, ng = (m, n) if m < n else (n, m)
     s = 0.5 if nl % 2 == 0 else 1.0
     log_g = (-abs(m - n) * math.log(2.0) / 2.0
-             + gammaln(nl / 2.0 + s) - gammaln(ng / 2.0 + s)
-             + 0.5 * (gammaln(ng + 1.0) - gammaln(nl + 1.0)))
+             + scipy.special.gammaln(nl / 2.0 + s) - scipy.special.gammaln(ng / 2.0 + s)
+             + 0.5 * (scipy.special.gammaln(ng + 1.0) - scipy.special.gammaln(nl + 1.0)))
     return float(math.exp(log_g))
 
 
@@ -118,8 +117,9 @@ def g_matrix(n_max: int) -> GMatrix:
     idx = np.arange(n_max)
     # O(n_max) distinct log-Gammas, gathered by (nl, ng, parity of nl): row
     # s of lg_half is gammaln(j/2 + s), s = 1/2 for even nl and 1 for odd
-    lg_half = np.stack([gammaln(idx / 2.0 + 0.5), gammaln(idx / 2.0 + 1.0)])
-    lg_fact = gammaln(idx + 1.0)
+    lg_half = np.stack([scipy.special.gammaln(idx / 2.0 + 0.5),
+                        scipy.special.gammaln(idx / 2.0 + 1.0)])
+    lg_fact = scipy.special.gammaln(idx + 1.0)
     nl, ng = np.minimum.outer(idx, idx), np.maximum.outer(idx, idx)
     parity = nl % 2
     log_g = (-(ng - nl) * (math.log(2.0) / 2.0)
@@ -319,7 +319,7 @@ def spectrum(matrix: HermitianMatrix | np.ndarray) -> Spectrum:
 
 
 def _log_c(j: np.ndarray) -> np.ndarray:
-    return gammaln((j + 1.0) / 2.0) - gammaln((j + 2.0) / 2.0)
+    return scipy.special.gammaln((j + 1.0) / 2.0) - scipy.special.gammaln((j + 2.0) / 2.0)
 
 
 def _libm(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
@@ -441,9 +441,9 @@ def phase_variance_diagonal(m: int, kind: str = "canonical", beta_t: float = 0.0
 def _convolve(kernel: np.ndarray, *xs: np.ndarray) -> list[np.ndarray]:
     """Full linear convolutions of ``kernel`` with equal-length real arrays; one kernel FFT."""
     n = kernel.size + xs[0].size - 1
-    size = next_fast_len(n, real=True)
-    kernel_hat = rfft(kernel, size)
-    return [irfft(rfft(x, size) * kernel_hat, size)[:n] for x in xs]
+    size = scipy.fft.next_fast_len(n, real=True)
+    kernel_hat = scipy.fft.rfft(kernel, size)
+    return [scipy.fft.irfft(scipy.fft.rfft(x, size) * kernel_hat, size)[:n] for x in xs]
 
 
 def variance_diagonal_table(m_max: int, extra: int = 200_000,
@@ -558,7 +558,7 @@ def delta_matrix_element(m: int, n: int, radius: float, angle: float) -> complex
     if radius == 0.0:
         amp = 1.0 if k == 0 else 0.0
     else:
-        log_amp = (0.5 * (gammaln(nl + 1.0) - gammaln(ng + 1.0))
+        log_amp = (0.5 * (scipy.special.gammaln(nl + 1.0) - scipy.special.gammaln(ng + 1.0))
                    + k * (0.5 * math.log(2.0) + math.log(radius)) - radius * radius)
         amp = math.exp(log_amp)
     sign = -1.0 if n % 2 else 1.0

@@ -7,6 +7,10 @@ The package's angle expectations call ``integrate`` on finite panels in the
 physical angle (``observables._angle_rule``).  ``integrate_angular``, one
 period split at the multiples of pi/2 (``_EDGES``), has no caller in the
 package; it remains for the benchmark's warm-up.
+
+``scipy.integrate`` (which pulls in ``optimize``, ``linalg`` and ``sparse``)
+is reached as an attribute of the top-level ``scipy`` package, so it loads on
+the first ``integrate`` call rather than on ``import wigosc``.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from scipy.integrate import quad
+import scipy
 
 from .errors import QuadratureNotConverged
 
@@ -27,7 +31,8 @@ _EDGES = (-math.pi, -math.pi / 2.0, 0.0, math.pi / 2.0, math.pi)
 def integrate(f: Callable[[float], float], a: float, b: float,
               tol: float = 1e-10) -> float:
     """Integrate ``f`` on ``[a, b]`` to ``tol``; a result QUADPACK flags raises."""
-    value, err, _, *flag = quad(f, a, b, epsabs=tol, epsrel=tol, limit=_LIMIT, full_output=1)
+    value, err, _, *flag = scipy.integrate.quad(f, a, b, epsabs=tol, epsrel=tol,
+                                                limit=_LIMIT, full_output=1)
     if flag or not math.isfinite(value) or err > max(tol, 10.0 * tol * abs(value)):
         reason = flag[0].split("\n")[0] if flag else "did not converge"
         raise QuadratureNotConverged(f"integral on [{a}, {b}]: {reason}", value, err, tol)

@@ -14,6 +14,7 @@ from typing import Callable
 import numpy as np
 from numpy.random import Generator, Philox
 from scipy.fft import irfft, next_fast_len, rfft
+from scipy.special import ndtr, ndtri
 
 from wigosc import DerivedParams, Gaussian2D, ModelParams, SdeConfig, ground_state, propagator
 from wigosc.langevin import _BLOCK
@@ -388,3 +389,8 @@ def run_block_columns(block_index: int, params: ModelParams, cfg: SdeConfig,
             if slot is not None:
                 record(slot)
     return sums
+
+
+def bonferroni_threshold_scipy(n_comparisons: int) -> float:
+    """Bonferroni-widened 3-sigma z threshold through SciPy's normal CDF and its inverse."""
+    return float(-ndtri(2.0 * ndtr(-3.0) / (2.0 * n_comparisons)))

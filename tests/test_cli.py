@@ -188,14 +188,66 @@ class TestThreadEnvironment:
         assert "WIGOSC_THREADS" in capsys.readouterr().err
 
 
+# SciPy subpackages that a closed-form start must not load (scipy.integrate
+# alone pulls in optimize, linalg and sparse; stats and signal each cost most
+# of a second)
+HEAVY_SCIPY = ("scipy.special", "scipy.integrate", "scipy.fft", "scipy.optimize",
+               "scipy.linalg", "scipy.sparse", "scipy.stats", "scipy.signal")
+
+# One call down each path that reaches a SciPy subpackage on first use
+LAZY_CALLS = """
+import math
+from wigosc import (ModelParams, coherent_state, delta_matrix_element, derive,
+                    g_coefficient, mean_angle, thermal_angle_expectation,
+                    variance_diagonal_table)
+from wigosc.langevin import bonferroni_threshold
+from wigosc.quadrature import integrate
+d = derive(ModelParams.from_dimensionless(5.0, 0.25))
+values = [integrate(lambda x: math.exp(-x * x), 0.0, 2.0),
+          mean_angle(coherent_state(1.0, 1.0)),
+          thermal_angle_expectation(math.cos, d, 2.0),
+          [a.tolist() for a in variance_diagonal_table(3)],
+          g_coefficient(3, 7),
+          delta_matrix_element(2, 5, 0.7, 0.3),
+          bonferroni_threshold(130)]
+"""
+
+
+def run_fresh(code: str) -> str:
+    """Run ``code`` in a new interpreter that imports wigosc from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120, env=env)
+    return out.stdout.strip()
+
+
+def heavy_loaded_after(statement: str) -> str:
+    return run_fresh("import contextlib, io, sys\n"
+                     "from wigosc import cli\n"
+                     "with contextlib.redirect_stdout(io.StringIO()):\n"
+                     f"    {statement}\n"
+                     f"print(sorted(m for m in {HEAVY_SCIPY!r} if m in sys.modules))")
+
+
 class TestStartup:
     def test_import_skips_heavy_scipy_modules(self):
-        # scipy.stats and scipy.signal each cost most of a second to import
-        code = ("import sys, wigosc; "
-                "print(sorted(m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules))")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, timeout=120, env=env)
-        assert out.stdout.strip() == "[]"
+        assert heavy_loaded_after("import wigosc") == "[]"
+
+    @pytest.mark.parametrize("command", ["survival", "phase-mean"])
+    def test_closed_form_subcommands_skip_heavy_scipy_modules(self, command):
+        assert heavy_loaded_after(f"assert cli.main([{command!r}]) == 0") == "[]"
+
+    def test_spectrum_skips_scipy_integrate(self):
+        assert "scipy.integrate" not in heavy_loaded_after("assert cli.main(['spectrum']) == 0")
+
+    def test_lazy_paths_match_in_process(self):
+        used = ("scipy.fft", "scipy.integrate", "scipy.special")
+        cold, loaded = run_fresh(
+            LAZY_CALLS + "import sys\nprint(repr(values))\n"
+            f"print(sorted(m for m in {used!r} if m in sys.modules))").split("\n")
+        assert loaded == repr(list(used))
+        warm = {}
+        exec(LAZY_CALLS, warm)
+        assert cold == repr(warm["values"])

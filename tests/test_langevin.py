@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import run_block_columns, scheme_moments
+from oracles import bonferroni_threshold_scipy, run_block_columns, scheme_moments
 from wigosc import langevin
 from wigosc import (Gaussian2D, ModelParams, ParameterMismatch, PhasePoint, SdeConfig,
                     StepTooLarge, classical_flow, compare_to_propagator, derive,
@@ -291,6 +291,16 @@ class TestComparison:
         verdict = compare_to_propagator(report, derive(params))
         assert verdict.z_scores.shape == (len(report.times), 5)
         assert verdict.n_comparisons == verdict.z_scores.size
+
+
+class TestBonferroniThreshold:
+    N_VALUES = sorted(set(range(1, 201))
+                      | set(np.unique(np.round(np.logspace(0, 5, 400)).astype(int)).tolist()))
+
+    def test_matches_scipy_normal_quantile(self):
+        worst = max(abs(langevin.bonferroni_threshold(n) / bonferroni_threshold_scipy(n) - 1.0)
+                    for n in self.N_VALUES)
+        assert worst <= 1e-15
 
 
 class TestReportViews:
