@@ -509,8 +509,8 @@ def thermal_phase_variance(temperature_number: float, tol: float = 1e-10) -> Var
     per-row tail certificates.
     """
     big_d = float(temperature_number)
-    if big_d <= 0:
-        raise ValueError("temperature_number must be > 0")
+    if not 0.0 < big_d < math.inf:
+        raise ValueError(f"temperature_number must be finite and > 0, got {big_d!r}")
     ratio = (big_d - 1.0) / (big_d + 1.0)
     if ratio == 0.0:
         n_terms = 1
@@ -536,31 +536,30 @@ def delta_matrix_element(m: int, n: int, radius: float, angle: float) -> complex
     * exp(-R**2) * exp(i*(n-m)*phi) * L(nl, |m-n|, 2*R**2)`` with ``L`` the
     associated Laguerre polynomial, evaluated by its stable upward
     recurrence.  At ``m = n = 0`` this is the minimum-uncertainty density
-    ``2*exp(-R**2)``.
+    ``2*exp(-R**2)``.  Non-finite arguments raise ``ValueError``, and so does
+    a radius where the amplitude times the Laguerre value is not finite.
     """
     if m < 0 or n < 0:
         raise ValueError("indices must be non-negative")
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
+    if not 0.0 <= radius < math.inf:
+        raise ValueError(f"radius must be finite and >= 0, got {radius!r}")
+    if not math.isfinite(angle):
+        raise ValueError(f"angle must be finite, got {angle!r}")
     k = abs(m - n)
     nl, ng = min(m, n), max(m, n)
     x = 2.0 * radius * radius
-    # L(nl, k, x) by upward recurrence in the degree
-    prev, cur = 1.0, 1.0 + k - x
-    if nl == 0:
-        lag = prev
-    elif nl == 1:
-        lag = cur
-    else:
-        for i in range(1, nl):
-            prev, cur = cur, ((2.0 * i + 1.0 + k - x) * cur - (i + k) * prev) / (i + 1.0)
-        lag = cur
+    # L(nl, k, x) by upward recurrence in the degree, from L(-1) = 0 and L(0) = 1
+    prev, lag = 0.0, 1.0
+    for i in range(nl):
+        prev, lag = lag, ((2.0 * i + 1.0 + k - x) * lag - (i + k) * prev) / (i + 1.0)
     if radius == 0.0:
         amp = 1.0 if k == 0 else 0.0
     else:
         log_amp = (0.5 * (scipy.special.gammaln(nl + 1.0) - scipy.special.gammaln(ng + 1.0))
                    + k * (0.5 * math.log(2.0) + math.log(radius)) - radius * radius)
         amp = math.exp(log_amp)
+    if not math.isfinite(amp * lag):
+        raise ValueError(f"the element at radius {radius!r} is past float range ({amp!r}*{lag!r})")
     sign = -1.0 if n % 2 else 1.0
     phase = complex(_I_POW[k % 4]) * complex(math.cos((n - m) * angle),
                                              math.sin((n - m) * angle))

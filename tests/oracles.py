@@ -166,6 +166,53 @@ def survival_linalg(d: DerivedParams, t: float) -> float:
     return overlap_linalg(mean, cov, g.mean, g.cov)
 
 
+def damped_trig_exact(c: float, T: float, digits: int = 60) -> tuple[float, float, float]:
+    """``int_0^T exp(-c*u) * {sin^2 u, sin u cos u, cos^2 u} du`` in ``digits``-digit arithmetic.
+
+    The closed form of ``gaussian._damped_trig_integrals``, evaluated in
+    mpmath on the exact float inputs: at ``T >= 1e-8`` its cancellation costs
+    at most ~16 of the 60 digits, so each float result is correctly rounded.
+    Needs ``mpmath``.
+    """
+    import mpmath
+
+    with mpmath.workdps(digits):
+        c, T = mpmath.mpf(c), mpmath.mpf(T)
+        x = c * T
+        e, k = mpmath.exp(-x), c * c + 4
+        base = -T * mpmath.expm1(-x) / x if x != 0 else T
+        i_ss = (2 * base - e * (c * mpmath.sin(T) ** 2 + mpmath.sin(2 * T))) / k
+        i_sc = (2 - e * (2 * mpmath.cos(2 * T) + c * mpmath.sin(2 * T))) / (2 * k)
+        return float(i_ss), float(i_sc), float(base - i_ss)
+
+
+def noise_form_exact(d: DerivedParams, t: float, digits: int = 40) -> tuple[float, float, float]:
+    """Entries ``(q_aa, q_ab, q_bb)`` of ``noise_form(d, t)`` by ``digits``-digit quadrature.
+
+    ``noise_number * int_0^T exp(-c*u) * {sin^2 u, sin u (cos u - g sin u),
+    (cos u - g sin u)^2} du`` with ``c = beta/omega_damped``, ``g = c/2`` and
+    ``T = omega_damped*t`` formed in floats as the package forms them;
+    tanh-sinh quadrature split at the multiples of pi/2.  Needs ``mpmath``.
+    """
+    import mpmath
+
+    od = d.omega_damped
+    c, big_t = d.beta / od, od * t
+    with mpmath.workdps(digits):
+        c, g, big_t = mpmath.mpf(c), mpmath.mpf(c / 2.0), mpmath.mpf(big_t)
+        n = mpmath.mpf(d.noise_number)
+        half_pi = mpmath.pi / 2
+        edges = [half_pi * j for j in range(int(big_t / half_pi) + 1)] + [big_t]
+
+        def integral(f):
+            return n * mpmath.quad(lambda u: mpmath.exp(-c * u) * f(mpmath.sin(u), mpmath.cos(u)),
+                                   edges)
+
+        return (float(integral(lambda s, co: s * s)),
+                float(integral(lambda s, co: s * (co - g * s))),
+                float(integral(lambda s, co: (co - g * s) ** 2)))
+
+
 def mean_angle_exact(cov, digits: int = 40) -> float:
     """Mean polar angle on [-pi, pi) of the centred Gaussian with covariance ``cov``.
 

@@ -117,8 +117,8 @@ class TestGoldenBytes:
     """
 
     GOLDEN = {
-        "survival": "56f4e34ec7c7b2b28e8e109eb45c16557563c255c95f3af4514aa8a793813239",
-        "phase-mean": "ef9395e7c61c086bff62184b04b262d89a7408f99af700a761741864fd4be296",
+        "survival": "055ff9c90375bb4b850f56e6f7f78729c2547cc63a1fb01e22d0ede597f61315",
+        "phase-mean": "e7988bf23042d5c6dcd9172b95a45988b42f90a2a12444abf38337e6e3afbf02",
         "spectrum": "ca618423826c59fac3fd8ec539508d9616d58946b15ed5ce654599c0d2534270",
     }
 

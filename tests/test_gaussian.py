@@ -1,13 +1,16 @@
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
-from oracles import evolve_linalg, overlap_linalg
+from oracles import damped_trig_exact, evolve_linalg, noise_form_exact, overlap_linalg
+import wigosc
 from wigosc import (Gaussian2D, ModelParams, RequiresFriction, classical_flow, coherent_state,
                     derive, evolve, ground_state, noise_form, noise_form_longtime, propagator,
                     state_overlap, thermal_state)
@@ -34,6 +37,16 @@ def _exact_det(m):
     return a * d - b * b, abs(a * d) + b * b
 
 
+def _switch_edges(c):
+    """The lags just below and just above the switch ``(c + 2)*T = 2`` of the integrals."""
+    below = above = 2.0 / (c + 2.0)
+    while (c + 2.0) * below >= 2.0:
+        below = math.nextafter(below, 0.0)
+    while (c + 2.0) * above < 2.0:
+        above = math.nextafter(above, math.inf)
+    return below, above
+
+
 def quad_noise_matrix(d, t):
     """Adaptive-quadrature oracle for the accumulated-noise form."""
     od = d.omega_damped
@@ -51,8 +64,47 @@ def quad_noise_matrix(d, t):
     return np.array([[q_aa, q_ab], [q_ab, q_bb]])
 
 
+def _linalg_uses(tree):
+    """``(function, line)`` of every ``np.linalg``/``numpy.linalg`` use in ``tree``.
+
+    ``function`` is the name of the innermost enclosing ``def``, or ``None``
+    at module level; a ``from numpy.linalg import ...`` or
+    ``from numpy import linalg`` counts as a use.
+    """
+    uses = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if (isinstance(node, ast.Attribute) and node.attr == "linalg"
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            uses.append((owner, node.lineno))
+        if isinstance(node, ast.ImportFrom) and (
+                node.module == "numpy.linalg"
+                or node.module == "numpy" and any(a.name == "linalg" for a in node.names)):
+            uses.append((owner, node.lineno))
+        if isinstance(node, ast.Import) and any(a.name == "numpy.linalg" for a in node.names):
+            uses.append((owner, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return uses
+
+
 class TestClosedForms:
     """The closed-form 2x2 algebra against exact rational arithmetic and ``np.linalg``."""
+
+    def test_linalg_only_where_closed_forms_do_not_reach(self):
+        # 2x2 algebra stays in closed form; np.linalg is left to the Monte-Carlo
+        # start's eigh root and to the phase-operator spectrum
+        allowed = {("langevin", "_start_moments"), ("phaseops", "spectrum")}
+        found = set()
+        for path in sorted(Path(wigosc.__file__).parent.glob("*.py")):
+            for owner, line in _linalg_uses(ast.parse(path.read_text())):
+                assert (path.stem, owner) in allowed, f"np.linalg in {path.name}:{line}"
+                found.add((path.stem, owner))
+        assert found == allowed
 
     @settings(max_examples=300, deadline=None)
     @given(_MAGNITUDE, _MAGNITUDE, _CORRELATION)
@@ -157,6 +209,56 @@ class TestNoiseForm:
                                          lambda u: mpmath.cos(u) ** 2)):
                 exact = mpmath.quad(lambda u: decay(u) * trig(u), [0, T])
                 assert abs(value - exact) <= 8.0 * EPS * exact
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.just(0.0), st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)),
+           st.floats(-8.0, 3.0).map(lambda e: 10.0 ** e))
+    @example(0.0, _switch_edges(0.0)[0])
+    @example(0.0, _switch_edges(0.0)[1])
+    @example(6.1, _switch_edges(6.1)[0])
+    @example(6.1, _switch_edges(6.1)[1])
+    @example(200.0, _switch_edges(200.0)[0])
+    @example(200.0, _switch_edges(200.0)[1])
+    @example(1000.0, _switch_edges(1000.0)[0])
+    @example(1000.0, _switch_edges(1000.0)[1])
+    @example(0.0, math.pi)  # I_sc ~ 0 there
+    @example(0.0, 1e5)
+    @example(0.05, 1e5)
+    def test_integrals_against_60_digits_over_the_domain(self, c, lag):
+        # one closed form for every c, the Gauss rule below (c + 2)*T = 2;
+        # I_sc changes sign, so it is held on the scale sqrt(I_ss*I_cc)
+        exact_ss, exact_sc, exact_cc = damped_trig_exact(c, lag)
+        i_ss, i_sc, i_cc = _damped_trig_integrals(c, lag)
+        assert abs(i_ss - exact_ss) <= 8.0 * EPS * exact_ss
+        assert abs(i_cc - exact_cc) <= 8.0 * EPS * exact_cc
+        assert abs(i_sc - exact_sc) <= 8.0 * EPS * math.sqrt(exact_ss * exact_cc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(st.just(0.0), st.floats(0.01, 1.9999)),
+           st.floats(-8.0, 2.0).map(lambda e: 10.0 ** e))
+    @example(1.9999, 0.0099)  # c ~ 200, just below the switch
+    @example(1.99, 0.0912)  # c ~ 20, just below the switch
+    def test_noise_form_against_40_digit_quadrature(self, big_b, lag):
+        # lags up to 100 only: the oracle's quadrature is split at every pi/2
+        d = derive(ModelParams.from_dimensionless(5.0, big_b, 0.5))
+        (q_aa, q_ab), (_, q_bb) = noise_form(d, lag / d.omega_damped).tolist()
+        exact_aa, exact_ab, exact_bb = noise_form_exact(d, lag / d.omega_damped)
+        assert abs(q_aa - exact_aa) <= 8.0 * EPS * exact_aa
+        # q_bb = n*(I_cc - 2g*I_sc + g**2*I_ss) cancels ~3.6x next to the switch at
+        # B near 2: 8.7 eps was the worst of 9000 draws there
+        assert abs(q_bb - exact_bb) <= 12.0 * EPS * exact_bb
+        assert abs(q_ab - exact_ab) <= 8.0 * EPS * math.sqrt(exact_aa * exact_bb)
+
+    @pytest.mark.parametrize("c, lag", [(0.0, 0.3), (1.0, 2.0), (200.0, 0.05), (6.1, 17.0)])
+    def test_exact_integrals_match_quadrature(self, c, lag):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            edges = mpmath.linspace(0, lag, 8)
+            trigs = (lambda u: mpmath.sin(u) ** 2, lambda u: mpmath.sin(u) * mpmath.cos(u),
+                     lambda u: mpmath.cos(u) ** 2)
+            quads = [float(mpmath.quad(lambda u: mpmath.exp(-c * u) * f(u), edges))
+                     for f in trigs]
+        assert quads == pytest.approx(damped_trig_exact(c, lag), rel=EPS, abs=0.0)
 
     def test_frictionless_branch_against_quadrature(self):
         d = derive(ModelParams(mass=1.0, omega=1.0, beta=0.0, mu=0.5))
@@ -397,6 +499,18 @@ class TestGaussian2D:
         view = state.physical(d_default.beta, 6.0)
         assert view.mass == state.mass
         assert view.mean[0] == pytest.approx(math.exp(-d_default.beta * 6.0), rel=1e-15)
+
+    @pytest.mark.parametrize("beta, t, match", [
+        (1.0, -1000.0, "time"),  # exp(1000) used to raise OverflowError
+        (-1.0, 800.0, "beta"),  # likewise exp(800)
+        (1.0, math.inf, "time"),  # used to return a degenerate state
+        (1.0, math.nan, "time"),
+        (math.nan, 1.0, "beta"),
+        (math.inf, 1.0, "beta"),
+    ])
+    def test_physical_view_rejects_bad_beta_and_time(self, beta, t, match):
+        with pytest.raises(ValueError, match=match):
+            coherent_state(1.0, 2.0).physical(beta, t)
 
 
 class TestOverlap:

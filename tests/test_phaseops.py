@@ -480,6 +480,12 @@ class TestThermalPhaseVariance:
         with pytest.raises(ValueError):
             thermal_phase_variance(0.0)
 
+    @pytest.mark.parametrize("big_d", [math.nan, math.inf])
+    def test_non_finite_temperature(self, big_d):
+        # both used to fail in int() with "cannot convert float NaN to integer"
+        with pytest.raises(ValueError, match="temperature_number must be finite"):
+            thermal_phase_variance(big_d)
+
     def test_violated_row_cap_is_a_package_error(self, monkeypatch):
         import wigosc.phaseops as phaseops
         values, _ = variance_diagonal_table(5, extra=1000)
@@ -528,3 +534,17 @@ class TestDeltaMatrixElement:
             delta_matrix_element(-1, 0, 1.0, 0.0)
         with pytest.raises(ValueError):
             delta_matrix_element(0, 0, -1.0, 0.0)
+
+    @pytest.mark.parametrize("radius, angle, match", [
+        (math.nan, 0.3, "radius"),  # used to return nan+nanj
+        (math.inf, 0.3, "radius"),
+        (1.0, math.nan, "angle"),  # used to return nan+nanj
+        (1.0, math.inf, "angle"),  # used to raise a bare "math domain error"
+        (1e200, 0.3, "float range"),  # 0 * inf used to return nan+nanj
+    ])
+    def test_non_finite_input_raises(self, radius, angle, match):
+        with pytest.raises(ValueError, match=match):
+            delta_matrix_element(2, 2, radius, angle)
+
+    def test_far_ground_element_underflows_to_zero(self):
+        assert delta_matrix_element(0, 0, 1e200, 0.3) == 0.0
