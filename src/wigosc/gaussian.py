@@ -269,8 +269,8 @@ def evolve(state: Gaussian2D, d: DerivedParams, t: float) -> Gaussian2D:
     m_can[0] *= s
     (xx, q_ab), (_, yy) = kern.cov_physical.tolist()
     noise = np.array([[(s * xx) * s, s * q_ab], [q_ab * s, yy]])
-    mean = m_can @ state.mean
-    cov = m_can @ state.cov @ m_can.T + noise
+    with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check is the gate
+        mean, cov = m_can @ state.mean, m_can @ state.cov @ m_can.T + noise
     if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
         raise _canonical_overflow(bt)
     return Gaussian2D(mean, cov, state.log_mass)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
+import numpy as np
 import scipy
 
 from .errors import QuadratureNotConverged, RequiresFriction
@@ -94,14 +95,12 @@ def _centred_mean_angle(cov, squeeze: float) -> float:
 def _angle_profile(state: Gaussian2D):
     """Radial reduction of a displaced Gaussian against functions of angle alone.
 
-    Returns ``(profile, norm)`` with
-    ``norm * integral(f(phi) * profile(phi) dphi) = E[f(angle)]``: the radial
-    integral ``int_0^inf R * rho(R*u(phi)) dR`` is closed form.  With
-    ``q = u^T C^{-1} u`` it is ``1/q(phi)`` plus an erf term in the mean,
-    routed through ``erfcx`` so nothing overflows however eccentric the
-    state.  A point or rank-1 state has no angle density and raises
-    ``ValueError``.  If the state is so eccentric that ``q`` rounds to zero
-    or below at some angle, the profile raises :class:`QuadratureNotConverged`.
+    Returns ``(profile, norm)`` with ``norm * integral(f(phi) * profile(phi) dphi)
+    = E[f(angle)]``: with ``q = u^T C^{-1} u``, the radial integral
+    ``int_0^inf R * rho(R*u(phi)) dR`` is ``1/q(phi)`` plus an erf term in the mean,
+    routed through ``erfcx`` so nothing overflows.  A point or rank-1 state raises
+    ``ValueError``; the profile, called on an array of angles, raises
+    :class:`QuadratureNotConverged` if ``q`` rounds to zero or below at any of them.
     """
     det = _det(state.cov)
     if det <= _DEGENERATE_TOL:
@@ -112,66 +111,53 @@ def _angle_profile(state: Gaussian2D):
     g0, g1 = i00 * m0 + i01 * m1, i01 * m0 + i11 * m1
     w = m0 * g0 + m1 * g1
     damp = math.exp(-w / 2.0)
-    half_rt_pi = math.sqrt(math.pi / 2.0)
-    erf, erfcx = scipy.special.erf, scipy.special.erfcx
 
-    def offset(phi: float) -> float:
-        c, s = math.cos(phi), math.sin(phi)
+    def offset(phi: np.ndarray) -> np.ndarray:
+        c, s = np.cos(phi), np.sin(phi)
         q = i00 * c * c + 2.0 * i01 * c * s + i11 * s * s
-        if q <= 0.0:
-            raise QuadratureNotConverged(f"angle weight q(phi={phi!r}) = {q!r} <= 0: "
+        if not (q > 0.0).all():
+            raise QuadratureNotConverged(f"angle weight q(phi) = {q.min()!r} <= 0: "
                                          "state too eccentric", math.nan, math.inf, math.nan)
         lin = c * g0 + s * g1
-        h = lin / math.sqrt(2.0 * q)
-        if h >= 0.0:
-            # h^2 <= w/2 by Cauchy-Schwarz, so the exponent stays <= 0
-            tail = math.exp(h * h - w / 2.0) * (1.0 + erf(h))
-        else:
-            tail = damp * float(erfcx(-h))
-        return damp / q + lin * half_rt_pi * tail / q ** 1.5
+        h = lin / np.sqrt(2.0 * q)
+        # h^2 <= w/2 by Cauchy-Schwarz, so the exponent stays <= 0; erfcx sees only h < 0
+        tail = np.where(h >= 0.0, np.exp(h * h - w / 2.0) * (1.0 + scipy.special.erf(h)),
+                        damp * scipy.special.erfcx(-np.minimum(h, 0.0)))
+        return damp / q + lin * math.sqrt(math.pi / 2.0) * tail / q ** 1.5
 
     return offset, norm
 
 
-def _angle_rule(f: Callable[[float], float], beta_t: float, tol: float,
-                weight: Callable[[float], float] | None = None) -> float:
+def _angle_rule(f: Callable[[np.ndarray], np.ndarray], beta_t: float, tol: float,
+                weight: Callable[[np.ndarray], np.ndarray] | None = None) -> float:
     """Integral of ``f(a) * weight(theta)`` over the physical angle ``theta`` in [-pi, pi).
 
-    ``a`` is the canonical angle, ``tan a = exp(-beta_t) tan theta``; without a
-    ``weight`` the integrand is ``f(a)`` and ``theta`` is never formed.  The quadrants
-    fold onto ``theta`` in (0, pi/2), and three finite panels, summed smallest first,
-    ``z = exp(cut - v)`` on (0, 1], ``v = ln tan theta`` on [0, cut] and
-    ``w = tan theta`` on [0, 1], each get ``tol/3``.  ``a`` turns at ``v = beta_t``.
-    ``cut = min(beta_t, 40)``: past ``v = 40`` the turn weighs far below ``tol``, as
-    ``theta`` is within ``exp(-40)`` of pi/2, while a ``v`` panel out to a large
-    ``beta_t`` puts every node where the weight underflows and returns ~0 unflagged.
-    A weighted panel is integrated as two halves at ``tol/6`` each: on a smooth peak
-    one 21-point rule alone can under-report its error past ``tol``.
+    ``a`` is the canonical angle, ``tan a = exp(-beta_t) tan theta``; ``f`` and ``weight``
+    take arrays, and without a ``weight`` ``theta`` is never formed.  The quadrants fold
+    onto ``theta`` in (0, pi/2), covered by three panels end to end in one parameter ``s``,
+    by maps exact in floats: ``z = exp(cut - v) = -1 - s`` on (0, 1], ``w = tan theta = -s``
+    on [0, 1] and ``v = ln tan theta = s`` on [0, cut] in pieces of at most 2.  ``a`` turns
+    at ``v = beta_t``; past ``v = cut = min(beta_t, 40)`` the turn weighs far below ``tol``,
+    and nodes out to a large ``beta_t`` would all sit where the weight underflows.
     """
     cut = min(beta_t, 40.0)
     shrink, far, lift = math.exp(-beta_t), math.exp(-cut), math.exp(cut - beta_t)
-    pi = math.pi
 
-    # each panel passes ``theta`` as ``weight and ...``: None unless a weight reads it
-    def fold(a: float, jac: float, theta: float | None) -> float:
+    def g(s: np.ndarray) -> np.ndarray:
+        i, j = np.searchsorted(s[:, 0], (-1.0, 0.0))  # rows of the z, w and v panels
+        z, w, e = -1.0 - s[:i], -s[i:j], np.exp(-s[j:])
+        a = np.concatenate([np.arctan2(lift, z), np.arctan(w * shrink),
+                            np.arctan(np.exp(s[j:] - beta_t))])
+        jac = np.concatenate([far / (1.0 + (z * far) ** 2), 1.0 / (1.0 + w * w),
+                              e / (1.0 + e * e)])
         if weight is None:
-            return jac * (f(a) + f(pi - a) + f(a - pi) + f(-a))
-        return jac * (f(a) * weight(theta) + f(pi - a) * weight(pi - theta)
-                      + f(a - pi) * weight(theta - pi) + f(-a) * weight(-theta))
+            return jac * (f(a) + f(math.pi - a) + f(a - math.pi) + f(-a))
+        theta = np.concatenate([np.arctan2(1.0, z * far), np.arctan(w), np.arctan2(1.0, e)])
+        return jac * (f(a) * weight(theta) + f(math.pi - a) * weight(math.pi - theta)
+                      + f(a - math.pi) * weight(theta - math.pi) + f(-a) * weight(-theta))
 
-    def by_log_tan(v: float) -> float:
-        e = math.exp(-v)
-        return fold(math.atan(math.exp(v - beta_t)), e / (1.0 + e * e),
-                    weight and math.atan2(1.0, e))
-
-    panels = ((lambda z: fold(math.atan2(lift, z), far / (1.0 + (z * far) ** 2),
-                              weight and math.atan2(1.0, z * far)), 1.0),
-              (by_log_tan, cut),
-              (lambda w: fold(math.atan(w * shrink), 1.0 / (1.0 + w * w),
-                              weight and math.atan(w)), 1.0))
-    parts = 1 if weight is None else 2
-    return sum(integrate(g, hi * k / parts, hi * (k + 1) / parts, tol=tol / (3 * parts))
-               for g, hi in panels if hi > 0.0 for k in range(parts))
+    n = math.ceil(cut / 2.0)
+    return integrate(g, (-2.0, -1.0, 0.0, *(cut * k / n for k in range(1, n + 1))), tol)
 
 
 def mean_angle(state: Gaussian2D, tol: float = 1e-10) -> float:
@@ -204,14 +190,15 @@ def phase_expectation(state0: Gaussian2D | None, d: DerivedParams, t: float,
     return state0.mass * _centred_mean_angle(cov, math.exp(-d.beta * t))
 
 
-def thermal_angle_expectation(phi_func: Callable[[float], float],
+def thermal_angle_expectation(phi_func: Callable[[np.ndarray], np.ndarray],
                               d: DerivedParams, t: float, tol: float = 1e-10) -> float:
     """Long-time expectation of a function of the canonical angle alone.
 
     The stationary physical angle is uniform at every ``beta*t``, so this is
     the average of ``phi_func`` over the physical angle, to ``tol``.  In the
     canonical angle the same law piles up on the ``x``-axis (``phi = 0`` and
-    ``+-pi``) as ``beta*t`` grows.
+    ``+-pi``) as ``beta*t`` grows.  ``phi_func`` is called on ndarrays, ufunc-style
+    (``np.cos``, not ``math.cos``); a scalar return, as from ``lambda phi: 1.0``, is broadcast.
     """
     _check_time(t)
     return _angle_rule(phi_func, d.beta * t, tol) / (2.0 * math.pi)

@@ -1,46 +1,59 @@
-"""Adaptive quadrature with an explicit convergence contract.
+"""Adaptive Gauss-Legendre quadrature with a global error budget, in numpy.
 
-Thin wrapper over QUADPACK's adaptive Gauss-Kronrod rule (``scipy.integrate
-.quad``): callers get either an unflagged value whose reported error estimate
-meets the requested tolerance or a :class:`~wigosc.errors.QuadratureNotConverged`.
-The package's angle expectations call ``integrate`` on finite panels in the
-physical angle (``observables._angle_rule``).  ``integrate_angular``, one
-period split at the multiples of pi/2 (``_EDGES``), has no caller in the
-package; it remains for the benchmark's warm-up.
-
-``scipy.integrate`` (which pulls in ``optimize``, ``linalg`` and ``sparse``)
-is reached as an attribute of the top-level ``scipy`` package, so it loads on
-the first ``integrate`` call rather than on ``import wigosc``.
+Each piece is summed by a 16-point Gauss-Legendre rule and again as its two halves:
+the halves give its value and ``|whole - halves|`` its error estimate.  Each round,
+one call of the integrand on all its nodes, keeps the pieces whose estimate is at most
+the unspent budget over the open pieces and bisects the rest, so the kept estimates sum
+to at most ``tol``.  Past ``_MAX_ROUNDS`` rounds or ``_MAX_PIECES`` pieces, or on a
+non-finite integrand, it raises :class:`~wigosc.errors.QuadratureNotConverged`.
+``integrate_angular`` has no caller in the package; it remains for the benchmark.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
-import scipy
+import numpy as np
 
 from .errors import QuadratureNotConverged
 
 __all__ = ["integrate", "integrate_angular"]
 
-_LIMIT = 300  # QUADPACK subinterval budget per panel
-_EDGES = (-math.pi, -math.pi / 2.0, 0.0, math.pi / 2.0, math.pi)
+_MAX_ROUNDS, _MAX_PIECES = 40, 4096
+_X, _W = np.polynomial.legendre.leggauss(16)
+_NODES = np.concatenate([_X, (_X - 1.0) / 2.0, (_X + 1.0) / 2.0])  # whole, left, right half
 
 
-def integrate(f: Callable[[float], float], a: float, b: float,
+def integrate(g: Callable[[np.ndarray], np.ndarray], edges: Sequence[float],
               tol: float = 1e-10) -> float:
-    """Integrate ``f`` on ``[a, b]`` to ``tol``; a result QUADPACK flags raises."""
-    value, err, _, *flag = scipy.integrate.quad(f, a, b, epsabs=tol, epsrel=tol,
-                                                limit=_LIMIT, full_output=1)
-    if flag or not math.isfinite(value) or err > max(tol, 10.0 * tol * abs(value)):
-        reason = flag[0].split("\n")[0] if flag else "did not converge"
-        raise QuadratureNotConverged(f"integral on [{a}, {b}]: {reason}", value, err, tol)
-    return value
+    """Integral of ``g`` over the pieces ``edges`` cut, to ``tol``.
+
+    ``g`` maps a 2-d array of nodes, one piece per row, rows in increasing order, to its values.
+    """
+    lo, hi = np.asarray(edges[:-1], dtype=float), np.asarray(edges[1:], dtype=float)
+    kept, spent = [], 0.0
+    for _ in range(_MAX_ROUNDS):
+        half = (hi - lo) / 2.0
+        y = g((lo + half)[:, None] + half[:, None] * _NODES)
+        if not np.isfinite(y).all():
+            raise QuadratureNotConverged("non-finite integrand", math.nan, math.inf, tol)
+        sums = y.reshape(len(half), 3, 16) @ _W
+        whole, halves = half * sums[:, 0], half / 2.0 * (sums[:, 1] + sums[:, 2])
+        err = np.abs(whole - halves)
+        keep = err <= (tol - spent) / len(err)
+        kept.append(halves[keep])
+        spent += float(err[keep].sum())
+        if keep.all():
+            return math.fsum(np.concatenate(kept))
+        mid = (lo[~keep] + hi[~keep]) / 2.0
+        lo, hi = np.stack([lo[~keep], mid], 1).ravel(), np.stack([mid, hi[~keep]], 1).ravel()
+        if len(lo) > _MAX_PIECES:
+            break
+    value = math.fsum(np.concatenate(kept + [halves[~keep]]))
+    raise QuadratureNotConverged("did not converge", value, spent + float(err[~keep].sum()), tol)
 
 
 def integrate_angular(f: Callable[[float], float], tol: float = 1e-10) -> float:
-    """Integrate ``f`` over one period [-pi, pi), splitting at multiples of pi/2."""
-    panel_tol = tol / len(_EDGES)
-    return sum(integrate(f, lo, hi, tol=panel_tol)
-               for lo, hi in zip(_EDGES[:-1], _EDGES[1:]))
+    """Integrate ``f``, called on floats, over one period [-pi, pi), split at multiples of pi/2."""
+    return integrate(np.vectorize(f, otypes=[float]), np.linspace(-math.pi, math.pi, 5), tol)

@@ -1,5 +1,6 @@
 import ast
 import math
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -434,6 +435,16 @@ def test_canonical_overflow_names_the_frame(d_default, make, beta_t):
     # no float holds the canonical x variance ~D*exp(2*beta*t) here
     with pytest.raises(ValueError, match=r"canonical-frame .* beta\*t = .*cov_physical"):
         make(d_default, beta_t / d_default.beta)
+
+
+def test_canonical_overflow_raises_without_a_warning():
+    # the canonical products overflowed inside numpy's matmul, which warned
+    # before the finiteness check raised
+    d = derive(ModelParams.from_dimensionless(1483.0, 1.9999999))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="canonical-frame"):
+            evolve(ground_state(), d, 702.0 / d.beta)
 
 
 class TestThermalState:
