@@ -12,6 +12,15 @@ directly, so truncations of several hundred states are routine.  The variance
 series over a row of the matrix converges only like ``n**-3/2``; partial sums
 are therefore completed with a closed-form tail estimate carrying a certified
 bracket derived from two-sided Gamma-ratio inequalities.
+
+Each kernel returns the bits of its plain form (the gathered and masked
+versions in ``tests/oracles.py``) with less data movement: factors that depend
+on the offset alone are strided Toeplitz views, not ``n x n`` gathers;
+logarithms come from libm through ``scipy.special.xlogy``, because numpy's
+SIMD ``log`` can miss by a bit and the odd-row tail integral magnifies that;
+and the convolutions run on ``numpy.fft`` at the 5-smooth sizes
+``scipy.fft.next_fast_len`` would pick.  ``scipy.special`` is the only SciPy
+subpackage this module loads.
 """
 
 from __future__ import annotations
@@ -71,11 +80,22 @@ def _check_beta_t(beta_t: float) -> float:
     return beta_t
 
 
+def _check_tol(tol: float) -> None:
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+
+
 def _check_size(n_max: int) -> None:
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max!r}")
     if n_max > _MAX_MATRIX:
         raise SizeTooLarge(f"n_max={n_max} exceeds the supported maximum {_MAX_MATRIX}")
+
+
+def _toeplitz(c: np.ndarray) -> np.ndarray:
+    """Read-only ``(n, n)`` view ``T[m, n] = c[|n - m|]`` of a length-n vector; nothing is gathered."""
+    n_max = c.size
+    return np.lib.stride_tricks.sliding_window_view(np.concatenate([c[:0:-1], c]), n_max)[::-1]
 
 
 @dataclass(frozen=True)
@@ -115,17 +135,21 @@ def g_matrix(n_max: int) -> GMatrix:
     """Dense ``n_max x n_max`` coefficient table, summed as in :func:`g_coefficient`."""
     _check_size(n_max)
     idx = np.arange(n_max)
-    # O(n_max) distinct log-Gammas, gathered by (nl, ng, parity of nl): row
-    # s of lg_half is gammaln(j/2 + s), s = 1/2 for even nl and 1 for odd
+    # O(n_max) distinct log-Gammas: row s of lg_half is gammaln(j/2 + s), s = 1/2
+    # for even nl and 1 for odd.  On and above the diagonal nl is the row index,
+    # so a = -(ng - nl)*log(2)/2 is Toeplitz, b = lg_half[parity, nl] and the row
+    # of lg_half that c is read from are per-row, and d = (lg_fact[ng] -
+    # lg_fact[nl])/2; the sum keeps g_coefficient's order ((a + b) - c) + d.
+    # The lower triangle is then copied from the upper one.
     lg_half = np.stack([scipy.special.gammaln(idx / 2.0 + 0.5),
                         scipy.special.gammaln(idx / 2.0 + 1.0)])
     lg_fact = scipy.special.gammaln(idx + 1.0)
-    nl, ng = np.minimum.outer(idx, idx), np.maximum.outer(idx, idx)
-    parity = nl % 2
-    log_g = (-(ng - nl) * (math.log(2.0) / 2.0)
-             + lg_half[parity, nl] - lg_half[parity, ng]
-             + 0.5 * (lg_fact[ng] - lg_fact[nl]))
-    return GMatrix(values=np.exp(log_g))
+    log_g = _toeplitz(-idx * (math.log(2.0) / 2.0)) + lg_half[idx % 2, idx][:, np.newaxis]
+    log_g[0::2] -= lg_half[0]
+    log_g[1::2] -= lg_half[1]
+    log_g += 0.5 * (lg_fact - lg_fact[:, np.newaxis])
+    np.copyto(log_g, log_g.T, where=np.tri(n_max, k=-1, dtype=bool))
+    return GMatrix(values=np.exp(log_g, out=log_g))
 
 
 def phase_fourier(k: int) -> complex:
@@ -154,12 +178,6 @@ class HermitianMatrix:
         return self.values.shape[0]
 
 
-def _offsets(n_max: int) -> np.ndarray:
-    """``n - m`` over the ``(m, n)`` index grid."""
-    idx = np.arange(n_max)
-    return idx - idx[:, np.newaxis]
-
-
 def _angle_matrix(g: np.ndarray, fourier: Callable[[int], complex]) -> HermitianMatrix:
     """Assemble ``(m, n) -> i**(m-n) * g[m, n] * c_(n-m)``, one ``fourier`` call per offset.
 
@@ -169,9 +187,8 @@ def _angle_matrix(g: np.ndarray, fourier: Callable[[int], complex]) -> Hermitian
     n_max = g.shape[0]
     k = np.arange(n_max)
     coeff = _I_POW[(-k) % 4] * np.array([complex(fourier(int(j))) for j in k])
-    offset = _offsets(n_max)
-    out = g * coeff[np.abs(offset)]
-    np.conjugate(out, out=out, where=offset < 0)
+    out = g * _toeplitz(coeff)
+    np.conjugate(out, out=out, where=np.tri(n_max, k=-1, dtype=bool))
     return HermitianMatrix(values=out)
 
 
@@ -204,11 +221,11 @@ def attenuation(offset: int | np.ndarray, beta_t: float):
     equal to 1 at ``beta_t = 0`` and stepping to 0 (even) / 1 (odd) as
     ``beta_t -> inf``.
     """
-    k = np.abs(offset)
-    tau = math.tanh(beta_t / 2.0)
-    even = (k % 2 == 0) & (k > 0)
-    return np.where(even, 1.0 - np.power(tau, k // 2, where=even, out=np.ones_like(k, dtype=float)),
-                    1.0)
+    k = np.abs(np.asarray(offset)).ravel()
+    out = np.ones(k.shape)
+    even = np.flatnonzero(((k & 1) == 0) & (k != 0))
+    out[even] = 1.0 - np.power(math.tanh(beta_t / 2.0), k[even] >> 1)
+    return out.reshape(np.shape(offset))
 
 
 def physical_phase_matrix(n_max: int, beta_t: float) -> HermitianMatrix:
@@ -220,7 +237,7 @@ def physical_phase_matrix(n_max: int, beta_t: float) -> HermitianMatrix:
     """
     _check_size(n_max)
     beta_t = _check_beta_t(beta_t)
-    gbar = g_matrix(n_max).values * attenuation(np.arange(n_max), beta_t)[np.abs(_offsets(n_max))]
+    gbar = g_matrix(n_max).values * _toeplitz(attenuation(np.arange(n_max), beta_t))
     return _angle_matrix(gbar, phase_fourier)
 
 
@@ -318,12 +335,26 @@ def spectrum(matrix: HermitianMatrix | np.ndarray) -> Spectrum:
 # into a closed-form bracket.
 
 
-def _log_c(j: np.ndarray) -> np.ndarray:
-    return scipy.special.gammaln((j + 1.0) / 2.0) - scipy.special.gammaln((j + 2.0) / 2.0)
+def _log_c(start: int, stop: int) -> np.ndarray:
+    """``log c_j`` for ``start <= j < stop``: one log-Gamma per ``j``, neighbours differenced.
+
+    ``(j + 2)/2`` at ``j`` is ``(j + 1)/2`` at ``j + 1``, exactly, so this is
+    ``gammaln((j+1)/2) - gammaln((j+2)/2)`` bit for bit at half the calls.
+    """
+    lg = scipy.special.gammaln((np.arange(start, stop + 1, dtype=float) + 1.0) / 2.0)
+    return lg[:-1] - lg[1:]
+
+
+def _log(x: np.ndarray) -> np.ndarray:
+    """Natural log by libm, as ``math.log`` gives it; numpy 2.4's SIMD ``np.log`` misses a bit.
+
+    ``xlogy(1, x)`` is one ufunc loop over C ``log`` times an exact 1.0.
+    """
+    return scipy.special.xlogy(1.0, x)
 
 
 def _libm(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
-    """``fn`` of each entry as a Python float, so by libm; numpy's SIMD ``log`` can miss a bit."""
+    """``fn`` of each entry as a Python float, so ``**`` is libm ``pow``, which ``np.power`` is not."""
     return np.fromiter(map(fn, x.tolist()), float, count=x.size)
 
 
@@ -331,14 +362,14 @@ def _tail_integral_grow(u: np.ndarray, a: np.ndarray) -> np.ndarray:
     """``int_u^inf sqrt(x + a) / x**2 dx`` (rows with even index), elementwise."""
     r, sa = np.sqrt(u + a), np.sqrt(a)
     with np.errstate(invalid="ignore"):
-        closed = r / u + _libm(math.log, (r + sa) / (r - sa)) / (2.0 * sa)
+        closed = r / u + _log((r + sa) / (r - sa)) / (2.0 * sa)
     return np.where(a == 0.0, 2.0 / np.sqrt(u), closed)
 
 
 def _tail_integral_decay(u: np.ndarray, a: np.ndarray) -> np.ndarray:
     """``int_u^inf dx / (x**2 * sqrt(x + a))`` (rows with odd index, so ``a >= 1``), elementwise."""
     r, sa = np.sqrt(u + a), np.sqrt(a)
-    return r / (a * u) - _libm(math.log, (r + sa) / (r - sa)) / (2.0 * a * sa)
+    return r / (a * u) - _log((r + sa) / (r - sa)) / (2.0 * a * sa)
 
 
 def _tail_bracket(m: np.ndarray, j_top: int, c_m: np.ndarray,
@@ -404,8 +435,9 @@ def phase_variance_diagonal(m: int, kind: str = "canonical", beta_t: float = 0.0
         raise ValueError("m must be >= 0")
     if kind not in ("canonical", "physical"):
         raise ValueError(f"kind must be 'canonical' or 'physical', got {kind!r}")
+    _check_tol(tol)
     bt = None if kind == "canonical" else _check_beta_t(beta_t)
-    c_m = np.exp(_log_c(np.array([float(m)])))
+    c_m = np.exp(_log_c(m, m + 1))
     bracket = lambda span: [float(b[0]) for b in _tail_bracket(np.array([m]), m + span, c_m, bt)]
 
     span = 50_000
@@ -421,7 +453,7 @@ def phase_variance_diagonal(m: int, kind: str = "canonical", beta_t: float = 0.0
     # finite part below the diagonal: lesser index is j, parity decides the ratio
     if m > 0:
         j = np.arange(0, m)
-        log_c = _log_c(j.astype(float))
+        log_c = _log_c(0, m)
         log_cm = math.log(c_m[0])
         ratio = np.where(j % 2 == 0, np.exp(log_c - log_cm), np.exp(log_cm - log_c))
         total += float(np.sum(ratio * _row_weights(m - j, bt)))
@@ -429,8 +461,9 @@ def phase_variance_diagonal(m: int, kind: str = "canonical", beta_t: float = 0.0
     log_cm = math.log(c_m[0])
     sign = 1.0 if m % 2 == 0 else -1.0
     for start in range(m + 1, m + span + 1, 1_000_000):
-        j = np.arange(start, min(start + 1_000_000, m + span + 1))
-        log_c = _log_c(j.astype(float))
+        stop = min(start + 1_000_000, m + span + 1)
+        j = np.arange(start, stop)
+        log_c = _log_c(start, stop)
         total += float(np.sum(np.exp(sign * (log_cm - log_c)) * _row_weights(j - m, bt)))
 
     return VarianceEstimate(value=total + (low + high) / 2.0,
@@ -441,9 +474,22 @@ def phase_variance_diagonal(m: int, kind: str = "canonical", beta_t: float = 0.0
 def _convolve(kernel: np.ndarray, *xs: np.ndarray) -> list[np.ndarray]:
     """Full linear convolutions of ``kernel`` with equal-length real arrays; one kernel FFT."""
     n = kernel.size + xs[0].size - 1
-    size = scipy.fft.next_fast_len(n, real=True)
-    kernel_hat = scipy.fft.rfft(kernel, size)
-    return [scipy.fft.irfft(scipy.fft.rfft(x, size) * kernel_hat, size)[:n] for x in xs]
+    size = _fft_size(n)
+    kernel_hat = np.fft.rfft(kernel, size)
+    return [np.fft.irfft(np.fft.rfft(x, size) * kernel_hat, size)[:n] for x in xs]
+
+
+def _fft_size(n: int) -> int:
+    """Smallest ``2**a * 3**b * 5**c >= n``: the size ``scipy.fft.next_fast_len(n, real=True)`` picks."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def variance_diagonal_table(m_max: int, extra: int = 200_000,
@@ -454,16 +500,17 @@ def variance_diagonal_table(m_max: int, extra: int = 200_000,
     below-diagonal and above-diagonal partial sums into convolutions of
     parity-masked ``c``-arrays against the offset kernel, two per FFT pass
     with one kernel transform; the rows are then closed, in blocks of
-    ``2**15``, with their certified tail brackets beyond ``j = m_max + extra``.
+    ``2**15``, with their certified tail brackets beyond ``j = m_max + max(extra, 2)``.
     Every value equals a row-by-row evaluation bit for bit.
     """
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
+    if extra < 0:
+        raise ValueError(f"extra must be >= 0, got {extra!r}")
     if beta_t is not None:
         beta_t = _check_beta_t(beta_t)
     j_top = m_max + max(extra, 2)
-    j = np.arange(0, j_top + 1, dtype=float)
-    c = np.exp(_log_c(j))
+    c = np.exp(_log_c(0, j_top + 1))
     inv_c = 1.0 / c
     with np.errstate(divide="ignore"):
         kernel = _row_weights(np.arange(0, j_top + 1), beta_t)
@@ -511,6 +558,7 @@ def thermal_phase_variance(temperature_number: float, tol: float = 1e-10) -> Var
     big_d = float(temperature_number)
     if not 0.0 < big_d < math.inf:
         raise ValueError(f"temperature_number must be finite and > 0, got {big_d!r}")
+    _check_tol(tol)
     ratio = (big_d - 1.0) / (big_d + 1.0)
     if ratio == 0.0:
         n_terms = 1

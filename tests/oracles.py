@@ -14,11 +14,10 @@ from typing import Callable
 import numpy as np
 from numpy.random import Generator, Philox
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.special import ndtr, ndtri
+from scipy.special import gammaln, ndtr, ndtri
 
 from wigosc import DerivedParams, Gaussian2D, ModelParams, SdeConfig, ground_state, propagator
 from wigosc.langevin import _BLOCK
-from wigosc.phaseops import _log_c, _row_weights
 
 _I_POW = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
 
@@ -65,6 +64,60 @@ def exact_eigenvalues(a: np.ndarray, digits: int = 32) -> np.ndarray:
         return np.sort([float(x) for x in ev])
 
 
+# --- phase-operator kernels in their gathered and masked forms --------------
+#
+# Exact oracles for the kernels of wigosc.phaseops, which must return the
+# same bits: the arithmetic and its operand order are shared, only the data
+# movement around it differs.
+
+
+def g_matrix_gathered(n_max: int) -> np.ndarray:
+    """``g[m, n]`` over the full grid, every entry gathered by ``(nl, ng, parity of nl)``."""
+    idx = np.arange(n_max)
+    lg_half = np.stack([gammaln(idx / 2.0 + 0.5), gammaln(idx / 2.0 + 1.0)])
+    lg_fact = gammaln(idx + 1.0)
+    nl, ng = np.minimum.outer(idx, idx), np.maximum.outer(idx, idx)
+    parity = nl % 2
+    log_g = (-(ng - nl) * (math.log(2.0) / 2.0)
+             + lg_half[parity, nl] - lg_half[parity, ng]
+             + 0.5 * (lg_fact[ng] - lg_fact[nl]))
+    return np.exp(log_g)
+
+
+def attenuation_masked(offset, beta_t: float) -> np.ndarray:
+    """``1 - tanh(beta_t/2)**(|offset|/2)`` at even nonzero offsets, 1 elsewhere, by a masked power."""
+    k = np.abs(offset)
+    tau = math.tanh(beta_t / 2.0)
+    even = (k % 2 == 0) & (k > 0)
+    return np.where(even, 1.0 - np.power(tau, k // 2, where=even, out=np.ones_like(k, dtype=float)),
+                    1.0)
+
+
+def log_c_pairs(j: np.ndarray) -> np.ndarray:
+    """``log c_j = gammaln((j+1)/2) - gammaln((j+2)/2)``, two log-Gammas per entry of any ``j``."""
+    return gammaln((j + 1.0) / 2.0) - gammaln((j + 2.0) / 2.0)
+
+
+def log_libm(x: np.ndarray) -> np.ndarray:
+    """``math.log`` of each entry, boxed as a Python float."""
+    return np.fromiter(map(math.log, x.tolist()), float, count=x.size)
+
+
+def convolve_scipy(kernel: np.ndarray, *xs: np.ndarray) -> list[np.ndarray]:
+    """Full linear convolutions by ``scipy.fft`` at ``next_fast_len(n, real=True)``; one kernel FFT."""
+    n = kernel.size + xs[0].size - 1
+    size = next_fast_len(n, real=True)
+    kernel_hat = rfft(kernel, size)
+    return [irfft(rfft(x, size) * kernel_hat, size)[:n] for x in xs]
+
+
+def row_weights_masked(offsets: np.ndarray, beta_t: float | None) -> np.ndarray:
+    """Squared matrix weights of a row at ``offsets``, attenuated by :func:`attenuation_masked`."""
+    if beta_t is None:
+        return 1.0 / offsets.astype(float) ** 2
+    return attenuation_masked(offsets, beta_t) ** 2 / offsets.astype(float) ** 2
+
+
 def _tail_integral_grow(u: float, a: float) -> float:
     if a == 0.0:
         return 2.0 / math.sqrt(u)
@@ -97,30 +150,23 @@ def tail_bracket_scalar(m: int, j_top: int, c_m: float, beta_t: float | None) ->
     return half_low * (1.0 + att_min), 2.0 * half_up
 
 
-def _convolve_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = a.size + b.size - 1
-    size = next_fast_len(n, real=True)
-    return irfft(rfft(a, size) * rfft(b, size), size)[:n]
-
-
 def variance_table_loop(m_max: int, extra: int, beta_t: float | None) -> tuple[np.ndarray, np.ndarray]:
-    """Row variances and bounds, one FFT pass per convolution and one scalar bracket per row.
+    """Row variances and bounds from the kernel forms above, one scalar bracket per row.
 
-    Exact oracle for :func:`wigosc.variance_diagonal_table`, which shares
-    the kernel transforms and brackets the rows as whole arrays.
+    Exact oracle for :func:`wigosc.variance_diagonal_table`, which brackets
+    the rows as whole arrays.
     """
     j_top = m_max + max(extra, 2)
-    c = np.exp(_log_c(np.arange(0, j_top + 1, dtype=float)))
+    c = np.exp(log_c_pairs(np.arange(0, j_top + 1, dtype=float)))
     inv_c = 1.0 / c
     with np.errstate(divide="ignore"):
-        kernel = _row_weights(np.arange(0, j_top + 1), beta_t)
+        kernel = row_weights_masked(np.arange(0, j_top + 1), beta_t)
     kernel[0] = 0.0
     even = np.arange(j_top + 1) % 2 == 0
     n = m_max + 1
-    lower = (inv_c[:n] * _convolve_pair(np.where(even, c, 0.0)[:n], kernel[:n])[:n]
-             + c[:n] * _convolve_pair(np.where(even, 0.0, inv_c)[:n], kernel[:n])[:n])
-    corr_inv = _convolve_pair(inv_c, kernel[::-1])[j_top:j_top + n]
-    corr_c = _convolve_pair(c, kernel[::-1])[j_top:j_top + n]
+    lower = (inv_c[:n] * convolve_scipy(kernel[:n], np.where(even, c, 0.0)[:n])[0][:n]
+             + c[:n] * convolve_scipy(kernel[:n], np.where(even, 0.0, inv_c)[:n])[0][:n])
+    corr_inv, corr_c = (x[j_top:j_top + n] for x in convolve_scipy(kernel[::-1], inv_c, c))
     values = lower + np.where(even[:n], c[:n] * corr_inv, inv_c[:n] * corr_c)
     bounds = np.empty(n)
     for m in range(n):

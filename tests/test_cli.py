@@ -243,11 +243,11 @@ class TestStartup:
         assert "scipy.integrate" not in heavy_loaded_after("assert cli.main(['spectrum']) == 0")
 
     def test_lazy_paths_match_in_process(self):
-        used = ("scipy.fft", "scipy.special")
+        # the FFTs of the variance table are numpy's: scipy.special is all that loads
         cold, loaded = run_fresh(
             LAZY_CALLS + "import sys\nprint(repr(values))\n"
-            f"print(sorted(m for m in {used!r} if m in sys.modules))").split("\n")
-        assert loaded == repr(list(used))
+            f"print(sorted(m for m in {HEAVY_SCIPY!r} if m in sys.modules))").split("\n")
+        assert loaded == repr(["scipy.special"])
         warm = {}
         exec(LAZY_CALLS, warm)
         assert cold == repr(warm["values"])

@@ -5,16 +5,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.fft import next_fast_len
 from scipy.special import eval_genlaguerre
 
-from oracles import (angle_matrix_loop, eigenpair_spectrum, exact_eigenvalues, tail_bracket_scalar,
-                     variance_table_loop)
+from oracles import (angle_matrix_loop, attenuation_masked, convolve_scipy, eigenpair_spectrum,
+                     exact_eigenvalues, g_matrix_gathered, log_c_pairs, log_libm,
+                     tail_bracket_scalar, variance_table_loop)
 from wigosc import (ConvergenceFailure, SizeTooLarge, angle_operator_matrix, canonical_phase_matrix,
                     delta_matrix_element, g_coefficient, g_matrix, phase_fourier,
                     phase_variance_diagonal, physical_phase_matrix, spectrum,
                     thermal_phase_variance, variance_diagonal_table)
 from wigosc import phaseops
-from wigosc.phaseops import _log_c, _tail_bracket, attenuation
+from wigosc.phaseops import _convolve, _fft_size, _log, _log_c, _tail_bracket, attenuation
 
 PI2_3 = math.pi ** 2 / 3.0
 PI2_4 = math.pi ** 2 / 4.0
@@ -402,7 +404,7 @@ class TestVarianceSeries:
         # whatever rows share the call
         m = np.array(rows)
         j_top = int(m.max()) + gap
-        c_m = np.exp(_log_c(m.astype(float)))
+        c_m = np.exp(log_c_pairs(m.astype(float)))
         low, high = _tail_bracket(m, j_top, c_m, beta_t)
         for i, row in enumerate(rows):
             assert (low[i], high[i]) == tail_bracket_scalar(row, j_top, float(c_m[i]), beta_t)
@@ -430,6 +432,17 @@ class TestVarianceSeries:
             phase_variance_diagonal(-1)
         with pytest.raises(ValueError):
             phase_variance_diagonal(3, kind="nonsense")
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+    def test_bad_tol_rejected(self, tol):
+        # each used to sum all 8 million terms (0.4-0.6 s) and return
+        with pytest.raises(ValueError, match="tol"):
+            phase_variance_diagonal(3, tol=tol)
+
+    def test_negative_extra_rejected(self):
+        # used to run quietly with extra = 2
+        with pytest.raises(ValueError, match="extra"):
+            variance_diagonal_table(3, extra=-5)
 
     @pytest.mark.parametrize("beta_t", [-1.0, -math.inf, math.nan])
     @pytest.mark.parametrize("call", [
@@ -480,6 +493,12 @@ class TestThermalPhaseVariance:
         with pytest.raises(ValueError):
             thermal_phase_variance(0.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+    def test_bad_tol_rejected(self, tol):
+        # NaN used to fail in int() with "cannot convert float NaN to integer"
+        with pytest.raises(ValueError, match="tol"):
+            thermal_phase_variance(10.0, tol=tol)
+
     @pytest.mark.parametrize("big_d", [math.nan, math.inf])
     def test_non_finite_temperature(self, big_d):
         # both used to fail in int() with "cannot convert float NaN to integer"
@@ -492,6 +511,123 @@ class TestThermalPhaseVariance:
         monkeypatch.setattr(phaseops, "_VARIANCE_SUP", float(np.max(values)) / 2.0)
         with pytest.raises(ConvergenceFailure, match="row-variance cap"):
             thermal_phase_variance(3.0, tol=0.1)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+BETA_TS = [0.0, 1e-300, 2.0, 7.0, 1e3, math.inf]
+
+
+class TestKernelsMatchGatheredForms:
+    """The phaseops kernels return the bits of their gathered and masked forms in ``oracles``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 300))
+    def test_g_matrix(self, n):
+        assert _same_bits(g_matrix(n).values, g_matrix_gathered(n))
+
+    def test_g_matrix_at_1000(self):
+        assert _same_bits(g_matrix(1000).values, g_matrix_gathered(1000))
+
+    @settings(max_examples=100, deadline=None)
+    @given(hnp.arrays(np.int64, hnp.array_shapes(min_dims=0, max_dims=2, max_side=40),
+                      elements=st.integers(-10 ** 7, 10 ** 7)),
+           st.sampled_from(BETA_TS))
+    def test_attenuation(self, offsets, beta_t):
+        assert _same_bits(attenuation(offsets, beta_t), attenuation_masked(offsets, beta_t))
+
+    @pytest.mark.parametrize("beta_t", BETA_TS)
+    def test_attenuation_of_a_long_row(self, beta_t):
+        offsets = np.arange(-1000, 400_000)
+        assert _same_bits(attenuation(offsets, beta_t), attenuation_masked(offsets, beta_t))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 150), st.sampled_from(BETA_TS))
+    def test_physical_matrix(self, n, beta_t):
+        idx = np.arange(n)
+        table = g_matrix_gathered(n) * attenuation_masked(idx - idx[:, np.newaxis], beta_t)
+        np.testing.assert_array_equal(physical_phase_matrix(n, beta_t).values,
+                                      angle_matrix_loop(table, phase_fourier))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10 ** 7), st.integers(1, 2000))
+    def test_log_c(self, start, length):
+        j = np.arange(start, start + length, dtype=float)
+        assert _same_bits(_log_c(start, start + length), log_c_pairs(j))
+
+    def test_log_c_over_a_table(self):
+        assert _same_bits(_log_c(0, 300_001), log_c_pairs(np.arange(300_001, dtype=float)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(1, 300), elements=st.one_of(
+        st.floats(1.0, 1.0 + 1e-6, exclude_min=True), st.floats(1.0, 5.0, exclude_min=True),
+        st.floats(1.0, 1e6, exclude_min=True))))
+    def test_log(self, x):
+        assert _same_bits(_log(x), log_libm(x))
+
+    @pytest.mark.parametrize("top", [1.0 + 1e-6, 5.0, 1e6])
+    def test_log_dense(self, top):
+        # numpy's own np.log misses math.log by a bit on ~1% of such draws
+        x = np.random.default_rng(7).uniform(1.0, top, 200_000)
+        assert _same_bits(_log(x), log_libm(x))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3000), st.integers(1, 3000), st.integers(1, 2), st.integers(0, 2 ** 32))
+    def test_convolve(self, k_len, x_len, count, seed):
+        rng = np.random.default_rng(seed)
+        kernel = rng.standard_normal(k_len)
+        xs = [rng.standard_normal(x_len) for _ in range(count)]
+        for got, want in zip(_convolve(kernel, *xs), convolve_scipy(kernel, *xs), strict=True):
+            assert _same_bits(got, want)
+
+    def test_fft_size_up_to_10000(self):
+        assert [_fft_size(n) for n in range(1, 10_001)] == [next_fast_len(n, real=True)
+                                                           for n in range(1, 10_001)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 10 ** 12))
+    def test_fft_size(self, n):
+        assert _fft_size(n) == next_fast_len(n, real=True)
+
+    @pytest.mark.parametrize("call", [
+        lambda: phase_variance_diagonal(1000, tol=1e-5),
+        lambda: phase_variance_diagonal(1000, kind="physical", beta_t=1e3, tol=1e-5),
+        lambda: variance_diagonal_table(1000),
+        lambda: thermal_phase_variance(200.0),
+        lambda: thermal_phase_variance(1e4),
+        lambda: thermal_phase_variance(1e6),
+    ], ids=["row", "row_physical", "table", "thermal_D200", "thermal_D1e4", "thermal_D1e6"])
+    def test_variance_fields_with_the_gathered_kernels(self, call, monkeypatch):
+        # the benchmark's variance configurations: every field is the same
+        # with each kernel swapped for its oracle form
+        sizes = []
+        fft_size = phaseops._fft_size
+        monkeypatch.setattr(phaseops, "_fft_size", lambda n: sizes.append(n) or fft_size(n))
+        got = call()
+        assert all(fft_size(n) == next_fast_len(n, real=True) for n in sizes)
+        with monkeypatch.context() as patch:
+            patch.setattr(phaseops, "_log_c",
+                          lambda start, stop: log_c_pairs(np.arange(start, stop, dtype=float)))
+            patch.setattr(phaseops, "attenuation", attenuation_masked)
+            patch.setattr(phaseops, "_log", log_libm)
+            patch.setattr(phaseops, "_convolve", convolve_scipy)
+            want = call()
+        if isinstance(got, tuple):
+            assert all(_same_bits(a, b) for a, b in zip(got, want, strict=True))
+        else:
+            assert (got.value, got.tail_bound, got.terms) == (want.value, want.tail_bound, want.terms)
+
+    @pytest.mark.xfail(strict=True, reason="log c_j is the difference of two large gammaln "
+                       "values (2.5e-10 off at j = 4e5); ROADMAP item 6")
+    def test_log_c_deep_within_a_few_eps(self):
+        mpmath = pytest.importorskip("mpmath")
+        j = 400_000
+        with mpmath.workdps(40):
+            exact = float(mpmath.loggamma(mpmath.mpf(j + 1) / 2) - mpmath.loggamma(mpmath.mpf(j + 2) / 2))
+        assert abs(_log_c(j, j + 1)[0] - exact) <= 4.0 * np.finfo(float).eps * abs(exact)
 
 
 class TestDeltaMatrixElement:

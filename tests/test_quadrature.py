@@ -10,33 +10,47 @@ from wigosc import QuadratureNotConverged
 from wigosc.quadrature import integrate, integrate_angular
 
 
-def _names_scipy_integrate(tree) -> list:
-    """Line numbers where ``tree`` imports or names ``scipy.integrate``."""
+def _names_scipy(tree, sub: str) -> list:
+    """Line numbers where ``tree`` imports or names the SciPy subpackage ``sub``."""
     lines = []
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and node.attr == "integrate"
+        if (isinstance(node, ast.Attribute) and node.attr == sub
                 and isinstance(node.value, ast.Name) and node.value.id == "scipy"):
             lines.append(node.lineno)
         elif isinstance(node, ast.ImportFrom) and node.module and (
-                node.module.startswith("scipy.integrate")
-                or node.module == "scipy" and any(a.name == "integrate" for a in node.names)):
+                node.module.startswith(f"scipy.{sub}")
+                or node.module == "scipy" and any(a.name == sub for a in node.names)):
             lines.append(node.lineno)
-        elif isinstance(node, ast.Import) and any(a.name.startswith("scipy.integrate")
+        elif isinstance(node, ast.Import) and any(a.name.startswith(f"scipy.{sub}")
                                                   for a in node.names):
             lines.append(node.lineno)
     return lines
 
 
+def _src_names_scipy(sub: str) -> dict:
+    found = {}
+    for path in sorted(Path(wigosc.__file__).parent.glob("*.py")):
+        lines = _names_scipy(ast.parse(path.read_text()), sub)
+        if lines:
+            found[path.name] = lines
+    return found
+
+
 def test_no_module_names_scipy_integrate():
     # every angle integral runs on the numpy rule; QUADPACK stays a test oracle
-    for path in sorted(Path(wigosc.__file__).parent.glob("*.py")):
-        assert _names_scipy_integrate(ast.parse(path.read_text())) == [], path.name
+    assert _src_names_scipy("integrate") == {}
+
+
+def test_no_module_names_scipy_fft():
+    # the variance-table FFTs are numpy's, same bits; scipy.fft stays a test oracle
+    assert _src_names_scipy("fft") == {}
 
 
 def test_the_pin_sees_each_spelling():
-    for code in ("import scipy\nscipy.integrate.quad", "from scipy.integrate import quad",
-                 "from scipy import integrate", "import scipy.integrate"):
-        assert _names_scipy_integrate(ast.parse(code)) != [], code
+    for sub in ("integrate", "fft"):
+        for code in (f"import scipy\nscipy.{sub}.quad", f"from scipy.{sub} import quad",
+                     f"from scipy import {sub}", f"import scipy.{sub}"):
+            assert _names_scipy(ast.parse(code), sub) != [], code
 
 
 @pytest.mark.parametrize("tol", [1e-10, 1e-13])
