@@ -8,9 +8,9 @@ quantum state (``dp dq = hbar dx dy`` and the density carries the ``1/hbar``).
 
 Averaging the deterministic flow over realisations of the white-noise force
 turns the delta-function propagator of the quadratic generator into a Gaussian
-kernel.  Its covariance is assembled from three elementary damped-trig
-integrals: one regrouped closed form at every damping, and an 8-point Gauss
-rule for the short lags where that form cancels.  ``propagator`` reads the scalar
+kernel.  Its covariance integrates only ``I_ss``: one regrouped closed form at
+every damping, and an 8-point Gauss rule for the short lags where that form
+cancels.  ``propagator`` reads the scalar
 entries of the flow and of the noise form (``model._flow_terms``,
 ``_noise_terms``), the same floats ``classical_flow`` and ``noise_form`` wrap
 as arrays.
@@ -165,37 +165,33 @@ _GAUSS = tuple((float(u + 1.0) / 2.0, float(w) / 2.0)
                for u, w in zip(*np.polynomial.legendre.leggauss(8)))
 
 
-def _damped_trig_integrals(c: float, T: float) -> tuple[float, float, float]:
-    """``int_0^T exp(-c*u) * {sin^2 u, sin u cos u, cos^2 u} du`` at any ``c >= 0``.
+def _damped_sin2_integral(c: float, T: float) -> float:
+    """``I_ss = int_0^T exp(-c*u) * sin(u)**2 du`` at any ``c >= 0``.
 
     The antiderivative regrouped around ``base = int_0^T exp(-c*u) du`` cancels
     only to ~6 eps/((c*T)**2 + 4*T**2) relative, so ``(c + 2)*T < 2`` takes an
-    8-point Gauss rule; both stay within 6 eps of 60 digits (``I_sc`` of ``sqrt(I_ss*I_cc)``).
+    8-point Gauss rule; both stay within 6 eps of 60 digits.
     """
     if (c + 2.0) * T < 2.0:
-        i_ss = i_sc = i_cc = 0.0
+        i_ss = 0.0
         for node, weight in _GAUSS:
             u = T * node
-            w, s, co = T * weight * math.exp(-c * u), math.sin(u), math.cos(u)
-            i_ss, i_sc, i_cc = i_ss + w * s * s, i_sc + w * s * co, i_cc + w * co * co
-        return i_ss, i_sc, i_cc
+            s = math.sin(u)
+            i_ss += T * weight * math.exp(-c * u) * s * s
+        return i_ss
     x = c * T
-    e, k = math.exp(-x), c * c + 4.0
     base = T * (-math.expm1(-x) / x) if x != 0.0 else T
-    i_ss = (2.0 * base - e * (c * math.sin(T) ** 2 + math.sin(2.0 * T))) / k
-    i_sc = (2.0 - e * (2.0 * math.cos(2.0 * T) + c * math.sin(2.0 * T))) / (2.0 * k)
-    return i_ss, i_sc, base - i_ss
+    return (2.0 * base - math.exp(-x) * (c * math.sin(T) ** 2 + math.sin(2.0 * T))) / (c * c + 4.0)
 
 
 def _noise_terms(d: DerivedParams, t: float) -> tuple[float, float, float]:
     """Entries ``(q_aa, q_ab, q_bb)`` of :func:`noise_form`, as floats."""
     _check_time(t)
-    od = d.omega_damped
-    c = d.beta / od
-    g = c / 2.0
-    i_ss, i_sc, i_cc = _damped_trig_integrals(c, od * t)
-    n = d.noise_number
-    return n * i_ss, n * (i_sc - g * i_ss), n * (i_cc - 2.0 * g * i_sc + g * g * i_ss)
+    od, n = d.omega_damped, d.noise_number
+    c, T = d.beta / od, od * t
+    g, e, s = c / 2.0, math.exp(-c * T), math.sin(T)
+    i_ss = _damped_sin2_integral(c, T)
+    return n * i_ss, n * (e * s * s / 2.0), n * ((1.0 + g * g) * i_ss + e * s * math.cos(T))
 
 
 def noise_form(d: DerivedParams, t: float) -> np.ndarray:
@@ -208,7 +204,9 @@ def noise_form(d: DerivedParams, t: float) -> np.ndarray:
 
     The integrand couples ``a`` to the position response ``sin`` and ``b``
     to the momentum response ``cos - g*sin`` (``g = beta/(2*omega_damped)``),
-    each damped by ``exp(-beta * lag)``.
+    each damped by ``exp(-beta * lag)``.  For ``Y = exp(-g*u)*sin u``,
+    ``Y*Y' = (Y**2/2)'`` and ``Y'**2 = (Y*Y')' + 2g*Y*Y' + (1 + g*g)*Y**2``, so
+    only ``int_0^T Y**2`` is integrated (``T = omega_damped*t``).
     """
     q_aa, q_ab, q_bb = _noise_terms(d, t)
     return _readonly(np.array([[q_aa, q_ab], [q_ab, q_bb]]))

@@ -38,9 +38,10 @@ def survival_probability(d: DerivedParams, t: float) -> float:
 
     The overlap of the noise-evolved ground state with the ground state is a
     single Gaussian integral; for a centred evolved covariance ``C`` it equals
-    ``1/sqrt(det(C + I/2))``, which lies in (0, 1].
+    ``1/sqrt(det(C + I/2))``, which lies in (0, 1].  Rounding can read one ulp
+    above 1 at lags near 1e-14, so the result is capped at 1.
     """
-    return state_overlap(evolve(ground_state(), d, t), ground_state())
+    return min(state_overlap(evolve(ground_state(), d, t), ground_state()), 1.0)
 
 
 def longtime_survival(d: DerivedParams, t: float) -> float:

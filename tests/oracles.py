@@ -215,10 +215,10 @@ def survival_linalg(d: DerivedParams, t: float) -> float:
 def damped_trig_exact(c: float, T: float, digits: int = 60) -> tuple[float, float, float]:
     """``int_0^T exp(-c*u) * {sin^2 u, sin u cos u, cos^2 u} du`` in ``digits``-digit arithmetic.
 
-    The closed form of ``gaussian._damped_trig_integrals``, evaluated in
-    mpmath on the exact float inputs: at ``T >= 1e-8`` its cancellation costs
-    at most ~16 of the 60 digits, so each float result is correctly rounded.
-    Needs ``mpmath``.
+    The regrouped antiderivatives (``I_ss``'s is ``gaussian._damped_sin2_integral``'s),
+    evaluated in mpmath on the exact float inputs: at ``T >= 1e-8`` their
+    cancellation costs at most ~16 of the 60 digits, so each float result is
+    correctly rounded.  Needs ``mpmath``.
     """
     import mpmath
 
@@ -232,31 +232,80 @@ def damped_trig_exact(c: float, T: float, digits: int = 60) -> tuple[float, floa
         return float(i_ss), float(i_sc), float(base - i_ss)
 
 
-def noise_form_exact(d: DerivedParams, t: float, digits: int = 40) -> tuple[float, float, float]:
-    """Entries ``(q_aa, q_ab, q_bb)`` of ``noise_form(d, t)`` by ``digits``-digit quadrature.
+def _noise_integrals(c, big_t, n, digits: int):
+    """``n * int_0^T exp(-c*u) * {s*s, s*(co - g*s), (co - g*s)**2} du``, ``g = c/2``, as mpf.
 
-    ``noise_number * int_0^T exp(-c*u) * {sin^2 u, sin u (cos u - g sin u),
-    (cos u - g sin u)^2} du`` with ``c = beta/omega_damped``, ``g = c/2`` and
-    ``T = omega_damped*t`` formed in floats as the package forms them;
-    tanh-sinh quadrature split at the multiples of pi/2.  Needs ``mpmath``.
+    Each trig factor is pi-periodic, so with ``T = k*pi + r`` every integral
+    is ``J*(1 + q + ... + q**(k-1)) + q**k * R``, ``q = exp(-c*pi)``, ``J`` its
+    integral over ``[0, pi]`` and ``R`` over ``[0, r]``, each by Gauss-Legendre
+    quadrature in ``digits`` digits, on panels over which ``exp(-c*u)`` falls by
+    at most ``exp(-24)``.  The middle one, ``~exp(-c*T)``, cancels O(1) terms
+    (``J`` is 0 for it), so it takes ``c*T/ln(10)`` more digits, up to where
+    ``exp(-c*T)`` is below ~1e-304.
+    """
+    import mpmath
+
+    # in steps of 40 digits, so that mpmath's cached Gauss-Legendre nodes are reused
+    extra = 40 * math.ceil(min(float(c * big_t), 700.0) / math.log(10.0) / 40.0)
+
+    def integral(f, dps):
+        with mpmath.workdps(dps):
+            pi = mpmath.pi
+            k = mpmath.floor(big_t / pi)
+            periods = mpmath.expm1(-c * pi * k) / mpmath.expm1(-c * pi) if c != 0 else k
+
+            def over(hi):
+                pieces = max(2, math.ceil(float(c * hi) / 24.0))
+                return mpmath.quad(lambda u: mpmath.exp(-c * u) * f(mpmath.sin(u), mpmath.cos(u)),
+                                   mpmath.linspace(0, hi, pieces + 1), method="gauss-legendre")
+
+            return n * (over(pi) * periods + mpmath.exp(-c * pi * k) * over(big_t - k * pi))
+
+    g = c / 2
+    return (integral(lambda s, co: s * s, digits),
+            integral(lambda s, co: s * (co - g * s), digits + extra),
+            integral(lambda s, co: (co - g * s) ** 2, digits))
+
+
+def noise_form_exact(d: DerivedParams, t: float, digits: int = 40) -> tuple[float, float, float]:
+    """Entries ``(q_aa, q_ab, q_bb)`` of ``noise_form(d, t)`` by quadrature, to ``digits`` digits.
+
+    :func:`_noise_integrals` with ``c = beta/omega_damped``, ``g = c/2`` and
+    ``T = omega_damped*t`` formed in floats as the package forms them.
+    Needs ``mpmath``.
     """
     import mpmath
 
     od = d.omega_damped
-    c, big_t = d.beta / od, od * t
+    c, big_t, n = (mpmath.mpf(v) for v in (d.beta / od, od * t, d.noise_number))
+    return tuple(float(q) for q in _noise_integrals(c, big_t, n, digits))
+
+
+def ground_start_phase_exact(d: DerivedParams, t: float, digits: int = 80) -> float:
+    """Phase mean of the evolved ground state, from ``d``'s floats alone, to ``digits`` digits.
+
+    Builds the flow ``F``, the noise form ``Q`` (:func:`_noise_integrals`) and
+    the physical covariance ``P = F F^T/2 + [[eps^2*Q_bb, Q_ab], [Q_ab, Q_aa/eps^2]]
+    = [[a, b], [b, e]]`` in mpmath, and returns
+    ``atan2(-b, exp(-beta*t)*e + sqrt(a*e - b*b))``.  ``T = omega_damped*t`` is
+    formed in floats as the package forms it (``sin T`` magnifies its rounding
+    by ``T``); nothing comes from the float ``propagator``.  Oracle for
+    ``wigosc.phase_expectation(None, ...)``.  Needs ``mpmath``.
+    """
+    import mpmath
+
     with mpmath.workdps(digits):
-        c, g, big_t = mpmath.mpf(c), mpmath.mpf(c / 2.0), mpmath.mpf(big_t)
-        n = mpmath.mpf(d.noise_number)
-        half_pi = mpmath.pi / 2
-        edges = [half_pi * j for j in range(int(big_t / half_pi) + 1)] + [big_t]
-
-        def integral(f):
-            return n * mpmath.quad(lambda u: mpmath.exp(-c * u) * f(mpmath.sin(u), mpmath.cos(u)),
-                                   edges)
-
-        return (float(integral(lambda s, co: s * s)),
-                float(integral(lambda s, co: s * (co - g * s))),
-                float(integral(lambda s, co: (co - g * s) ** 2)))
+        big_t = mpmath.mpf(d.omega_damped * t)
+        beta, od, w, t = (mpmath.mpf(v) for v in (d.beta, d.omega_damped, d.omega, t))
+        c, e2 = beta / od, mpmath.mpf(d.eps) ** 2
+        q_aa, q_ab, q_bb = _noise_integrals(c, big_t, mpmath.mpf(d.noise_number), digits)
+        damp, co, si = mpmath.exp(-beta * t / 2), mpmath.cos(big_t), mpmath.sin(big_t)
+        f00, f01 = damp * (co - c / 2 * si), -damp * (w / od) * si
+        f10, f11 = damp * (w / od) * si, damp * (co + c / 2 * si)
+        a = (f00 * f00 + f01 * f01) / 2 + e2 * q_bb
+        b = (f00 * f10 + f01 * f11) / 2 + q_ab
+        e = (f10 * f10 + f11 * f11) / 2 + q_aa / e2
+        return float(mpmath.atan2(-b, mpmath.exp(-beta * t) * e + mpmath.sqrt(a * e - b * b)))
 
 
 def mean_angle_exact(cov, digits: int = 40) -> float:

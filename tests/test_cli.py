@@ -117,8 +117,8 @@ class TestGoldenBytes:
     """
 
     GOLDEN = {
-        "survival": "055ff9c90375bb4b850f56e6f7f78729c2547cc63a1fb01e22d0ede597f61315",
-        "phase-mean": "e7988bf23042d5c6dcd9172b95a45988b42f90a2a12444abf38337e6e3afbf02",
+        "survival": "12beb23a391967c766e378ba7a060cb1c003e46770e9d55f0aa7da112a1c992a",
+        "phase-mean": "0cbf765c9cdc5560ebfacaa98d39b50d50ddb4f0d0012d7ed3df830a5414465c",
         "spectrum": "ca618423826c59fac3fd8ec539508d9616d58946b15ed5ce654599c0d2534270",
     }
 

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from scipy.integrate import dblquad
 from scipy.special import spence
 
-from oracles import (displaced_angle_exact, energy_weyl_symbol, mean_angle_exact,
-                     phase_expectation_linalg, survival_linalg)
+from oracles import (displaced_angle_exact, energy_weyl_symbol, ground_start_phase_exact,
+                     mean_angle_exact, phase_expectation_linalg, survival_linalg)
 from wigosc import (Gaussian2D, ModelParams, QuadratureNotConverged, RequiresFriction,
                     canonical_phase_matrix, coherent_state, derive, energy_generating_function,
                     evolve, ground_state, longtime_survival, mean_angle, nofriction_survival,
@@ -135,6 +135,7 @@ class TestSurvival:
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(0.0, 60.0), st.floats(0.5, 50.0), st.floats(0.01, 0.5))
+    @example(1.2578151589629029e-14, 0.5, 0.015625)  # the overlap rounds to 1 + 2**-52
     def test_bounded_in_unit_interval(self, t, big_d, big_b):
         d = derive(ModelParams.from_dimensionless(big_d, big_b))
         val = survival_probability(d, t)
@@ -382,16 +383,18 @@ class TestThermalAngle:
 
 # (D, B, beta*t, E[cos], E[phi**2], ground-start phase mean), recorded at commit
 # 608f92f: a faster angle rule or propagator must reproduce them bit for bit.
-# Re-recorded once each, both declared in CHANGES.md as rounding-level moves:
-# the last four phase means for the regrouped noise integrals, and the
-# E[cos] and E[phi**2] columns for the numpy Gauss-Legendre angle rule
+# Re-recorded, each declared in CHANGES.md: the last four phase means for the
+# regrouped noise integrals, the E[cos] and E[phi**2] columns for the numpy
+# Gauss-Legendre angle rule, and all six phase means for the closed-form q_ab
+# and q_bb, which moved the last three from 9.6e-10, 1.4e-3 and 1e36 relative
+# off ground_start_phase_exact to within 5e-15 (bt120's truth is -3.396e-53)
 GOLDEN = [
-    (5.0, 0.05, 0.3, 4.017992068789532e-17, 3.4446955318963264, -0.0032802251980020816),
-    (1000.0, 0.5, 2.5, 1.403741469054329e-17, 4.466626154861425, -0.04381248942534199),
-    (30.0, 1.2, 7.0, -5.352954988415994e-19, 4.921475391289592, -0.0016509205021930167),
-    (2.0, 0.3, 15.0, 6.407806595759679e-23, 4.934792835740991, -2.5616953051843706e-08),
-    (1000000.0, 1.9, 33.0, 1.765639437428301e-30, 4.934802200544368, -5.2059444181987876e-14),
-    (200.0, 0.8, 120.0, 0.0, 4.934802200544679, -5.286776307738842e-17),
+    (5.0, 0.05, 0.3, 4.017992068789532e-17, 3.4446955318963264, -0.003280225198002084),
+    (1000.0, 0.5, 2.5, 1.403741469054329e-17, 4.466626154861425, -0.043812489425342),
+    (30.0, 1.2, 7.0, -5.352954988415994e-19, 4.921475391289592, -0.001650920502193097),
+    (2.0, 0.3, 15.0, 6.407806595759679e-23, 4.934792835740991, -2.5616953027261334e-08),
+    (1000000.0, 1.9, 33.0, 1.765639437428301e-30, 4.934802200544368, -5.2132917794437016e-14),
+    (200.0, 0.8, 120.0, 0.0, 4.934802200544679, -3.396356728969995e-53),
 ]
 
 
@@ -403,6 +406,38 @@ def test_golden_values_bit_for_bit(big_d, big_b, beta_t, cos_mean, square_mean, 
     assert thermal_angle_expectation(np.cos, d, t) == cos_mean
     assert thermal_angle_expectation(lambda phi: phi * phi, d, t) == square_mean
     assert phase_expectation(None, d, t) == phase_mean
+
+
+@pytest.mark.parametrize("big_d, big_b, beta_t", [row[:3] for row in GOLDEN],
+                         ids=[f"bt{row[2]:g}" for row in GOLDEN])
+def test_golden_phase_means_against_exact_kernel(big_d, big_b, beta_t):
+    # F and Q in 80 digits from d's floats: an error in the float kernel shows,
+    # where ground_start_angle_mpmath starts from that kernel
+    pytest.importorskip("mpmath")
+    d = derive(ModelParams.from_dimensionless(big_d, big_b))
+    t = beta_t / d.beta
+    exact = ground_start_phase_exact(d, t)
+    assert abs(phase_expectation(None, d, t) - exact) <= 1e-13 * abs(exact)
+
+
+@settings(max_examples=6, deadline=None)
+@given(_LOG_D.map(math.exp), _DAMPING, st.floats(0.0, 200.0))
+def test_ground_start_against_exact_kernel(big_d, big_b, beta_t):
+    # the same oracle over the domain.  The mean is ~b/x for P = [[., b], [b, .]]
+    # and x = exp(-beta*t)*P[1, 1] + sqrt(det P); b sums F F^T/2's off-diagonal
+    # and q_ab, two terms whose exponents carry ~beta*t*eps of rounding and
+    # which cancel as D -> 1 or sin(T) -> 0
+    pytest.importorskip("mpmath")
+    d = derive(ModelParams.from_dimensionless(big_d, big_b))
+    t = beta_t / d.beta
+    kern = propagator(d, t)
+    (f00, f01), (f10, f11) = kern.flow.tolist()
+    (a, b), (_, e) = (kern.flow @ kern.flow.T / 2.0 + kern.cov_physical).tolist()
+    x = math.exp(-beta_t) * e + math.sqrt(a * e - b * b)
+    terms = (abs(f00 * f10) + abs(f01 * f11)) / 2.0 + abs(kern.cov_physical[0, 1])
+    exact = ground_start_phase_exact(d, t)
+    err = abs(phase_expectation(None, d, t) - exact)
+    assert err <= 1e-13 * abs(exact) + 4.0 * (1.0 + beta_t) * EPS * terms / x
 
 
 class TestWeylBridge:
