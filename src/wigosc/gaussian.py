@@ -1,10 +1,10 @@
 """Gaussian states and the noise-averaged propagator in the phase plane.
 
 Every state handled here is a (possibly degenerate) bivariate Gaussian in the
-dimensionless canonical coordinates ``(x, y)``.  A :class:`Gaussian2D` with
-``log_mass = 0`` is a unit-mass phase-space density: it integrates to 1 under
-``dx dy``, which is the dimensionless form of the trace normalisation of a
-quantum state (``dp dq = hbar dx dy`` and the density carries the ``1/hbar``).
+dimensionless canonical coordinates ``(x, y)``.  A :class:`Gaussian2D` is a
+trace-one state: it integrates to 1 under ``dx dy``, which is the dimensionless
+form of the trace normalisation of a quantum state (``dp dq = hbar dx dy`` and
+the density carries the ``1/hbar``).
 
 Averaging the deterministic flow over realisations of the white-noise force
 turns the delta-function propagator of the quadratic generator into a Gaussian
@@ -75,7 +75,7 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Gaussian2D:
-    """Bivariate Gaussian phase-space density in canonical ``(x, y)``.
+    """Bivariate Gaussian phase-space density in canonical ``(x, y)``, of unit mass.
 
     Parameters
     ----------
@@ -83,14 +83,10 @@ class Gaussian2D:
     cov : ndarray, shape (2, 2)
         Symmetric positive-semidefinite; an exactly singular covariance is
         allowed and flagged (delta-like direction).
-    log_mass : float
-        Log of the total integral under ``dx dy``.  Unit mass (``0.0``)
-        corresponds to a trace-one state.
     """
 
     mean: np.ndarray
     cov: np.ndarray
-    log_mass: float = 0.0
 
     def __post_init__(self):
         mean = np.array(self.mean, dtype=float).reshape(2)
@@ -111,10 +107,6 @@ class Gaussian2D:
         object.__setattr__(self, "cov", _readonly(cov))
 
     @property
-    def mass(self) -> float:
-        return math.exp(self.log_mass)
-
-    @property
     def is_degenerate(self) -> bool:
         return _det(self.cov) <= _DEGENERATE_TOL
 
@@ -127,28 +119,28 @@ class Gaussian2D:
         dx = np.asarray(x, dtype=float) - self.mean[0]
         dy = np.asarray(y, dtype=float) - self.mean[1]
         quad = i00 * dx * dx + 2.0 * i01 * dx * dy + i11 * dy * dy
-        return self.mass * np.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det))
+        return np.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det))
 
     def physical(self, beta: float, t: float) -> "Gaussian2D":
         """The same density expressed in the physical pair ``(X, y)``.
 
-        ``X = x*exp(-beta*t)``, so the x-row/column shrink and the mass is
-        unchanged (the Jacobian is absorbed by the amplitude).  ``beta`` and ``t``
+        ``X = x*exp(-beta*t)``, so the x-row/column shrink and the mass stays
+        1 (the Jacobian is absorbed by the amplitude).  ``beta`` and ``t``
         must be finite and ``>= 0``.
         """
         _check_time(t)
         if not 0.0 <= beta < math.inf:
             raise ValueError(f"beta must be finite and >= 0, got {beta!r}")
         s = math.exp(-beta * t)
-        scale = np.array([[s, 0.0], [0.0, 1.0]])
-        return Gaussian2D(scale @ self.mean, scale @ self.cov @ scale, self.log_mass)
+        (m0, m1), ((a, b), (_, d)) = self.mean.tolist(), self.cov.tolist()
+        return Gaussian2D(np.array([s * m0, m1]), np.array([[(s * a) * s, s * b], [b * s, d]]))
 
 
 _GROUND = Gaussian2D(np.zeros(2), 0.5 * np.eye(2))
 
 
 def ground_state() -> Gaussian2D:
-    """Minimum-uncertainty isotropic state: mean 0, covariance I/2, mass 1.
+    """Minimum-uncertainty isotropic state: mean 0, covariance I/2.
 
     Always the same instance; it is frozen and its arrays are read-only.
     """
@@ -245,6 +237,16 @@ def propagator(d: DerivedParams, t: float) -> PropagatorKernel:
                             cov_physical=np.array([[e2 * q_bb, q_ab], [q_ab, q_aa / e2]]))
 
 
+def _push(mean: np.ndarray, cov: np.ndarray, d: DerivedParams,
+          t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Physical-frame moments ``(F m0, F C0 F^T + cov_physical)`` at ``t`` of the start ``(m0, C0)``.
+
+    The covariance is the raw product: a correlated start's off-diagonals can round apart.
+    """
+    kern = propagator(d, t)
+    return kern.flow @ mean, kern.flow @ cov @ kern.flow.T + kern.cov_physical
+
+
 def _canonical_overflow(beta_t: float) -> ValueError:
     return ValueError(f"the canonical-frame state overflows a float at beta*t = {beta_t!r}; "
                       "the physical frame stays finite: use propagator(d, t).cov_physical")
@@ -254,9 +256,8 @@ def evolve(state: Gaussian2D, d: DerivedParams, t: float) -> Gaussian2D:
     """Push a Gaussian state from time 0 to ``t`` through the averaged dynamics.
 
     The canonical flow and noise covariance are the physical ones with the x
-    row (and column) scaled by ``s = exp(beta*t)``; mass is preserved.  Where
-    the canonical state overflows a float (``beta*t`` past ~340-355, by ``D``)
-    this raises ``ValueError``.
+    row (and column) scaled by ``s = exp(beta*t)``.  Where the canonical state
+    overflows a float (``beta*t`` past ~340-355, by ``D``) this raises ``ValueError``.
     """
     kern = propagator(d, t)
     bt = d.beta * t
@@ -271,13 +272,13 @@ def evolve(state: Gaussian2D, d: DerivedParams, t: float) -> Gaussian2D:
         mean, cov = m_can @ state.mean, m_can @ state.cov @ m_can.T + noise
     if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
         raise _canonical_overflow(bt)
-    return Gaussian2D(mean, cov, state.log_mass)
+    return Gaussian2D(mean, cov)
 
 
 def thermal_state(d: DerivedParams, t: float) -> Gaussian2D:
     """Long-time (Maxwell-Boltzmann) state at time ``t``, canonical coordinates.
 
-    Unit mass; canonical covariance ``diag((D/2)*exp(2*beta*t), D/2)`` with
+    Canonical covariance ``diag((D/2)*exp(2*beta*t), D/2)`` with
     ``D = temperature_number``, i.e. both physical marginals have variance
     ``D/2``.  Requires friction: without it the oscillator never thermalises.
     Past ``beta*t`` ~355 no float holds the x variance, and this raises ``ValueError``.
@@ -296,9 +297,9 @@ def thermal_state(d: DerivedParams, t: float) -> Gaussian2D:
 def state_overlap(a: Gaussian2D, b: Gaussian2D) -> float:
     """Quantum overlap ``Tr(rho_a rho_b)`` of two Gaussian states.
 
-    Equals ``2*pi * integral(rho_a * rho_b dx dy)``; for unit-mass states
+    Equals ``2*pi * integral(rho_a * rho_b dx dy)``:
 
-        mass_a*mass_b * exp(-0.5*d^T (Ca+Cb)^{-1} d) / sqrt(det(Ca+Cb))
+        exp(-0.5*d^T (Ca+Cb)^{-1} d) / sqrt(det(Ca+Cb))
 
     with ``d`` the mean separation.  If exactly one state is a delta
     (degenerate with zero covariance), the overlap is ``2*pi`` times the
@@ -312,10 +313,9 @@ def state_overlap(a: Gaussian2D, b: Gaussian2D) -> float:
     if det <= _DEGENERATE_TOL:
         for delta, other in ((a, b), (b, a)):
             if np.all(delta.cov == 0.0) and not other.is_degenerate:
-                return float(2.0 * math.pi * delta.mass
-                             * other.density(delta.mean[0], delta.mean[1]))
+                return float(2.0 * math.pi * other.density(delta.mean[0], delta.mean[1]))
         raise ValueError("overlap of two degenerate states is not defined")
     i00, i01, i11 = _inverse(csum, det)
     dx, dy = (a.mean - b.mean).tolist()
     quad = i00 * dx * dx + 2.0 * i01 * dx * dy + i11 * dy * dy
-    return a.mass * b.mass * math.exp(-0.5 * quad) / math.sqrt(det)
+    return math.exp(-0.5 * quad) / math.sqrt(det)

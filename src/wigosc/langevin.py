@@ -44,7 +44,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import ParameterMismatch, StepTooLarge
-from .gaussian import Gaussian2D, ground_state, propagator
+from .gaussian import Gaussian2D, _push, ground_state
 from .model import DerivedParams, ModelParams, PhasePoint
 
 __all__ = [
@@ -359,10 +359,7 @@ def compare_to_propagator(report: MomentReport, d: DerivedParams,
     nout = len(report.times)
     z = np.zeros((nout, 5))
     for i, t in enumerate(report.times):
-        kern = propagator(d, float(t))
-        flow = kern.flow
-        mean_a = flow @ mean0
-        cov_a = flow @ cov0 @ flow.T + kern.cov_physical
+        mean_a, cov_a = _push(mean0, cov0, d, float(t))
         se_mx = math.sqrt(max(cov_a[0, 0], 0.0) / n)
         se_my = math.sqrt(max(cov_a[1, 1], 0.0) / n)
         se_vx = cov_a[0, 0] * math.sqrt(2.0 / (n - 1.0))

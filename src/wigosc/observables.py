@@ -17,8 +17,8 @@ import numpy as np
 import scipy
 
 from .errors import QuadratureNotConverged, RequiresFriction
-from .gaussian import (_DEGENERATE_TOL, Gaussian2D, _det, _inverse, evolve, ground_state,
-                       propagator, state_overlap)
+from .gaussian import (_DEGENERATE_TOL, Gaussian2D, _det, _inverse, _push, evolve,
+                       ground_state, state_overlap)
 from .model import DerivedParams, _check_time
 from .quadrature import integrate
 
@@ -93,22 +93,25 @@ def _centred_mean_angle(cov, squeeze: float) -> float:
     return math.atan2(0.0 - b, squeeze * d + math.sqrt(hi) * math.sqrt(schur))
 
 
-def _angle_profile(state: Gaussian2D):
-    """Radial reduction of a displaced Gaussian against functions of angle alone.
+def _angle_profile(mean: np.ndarray, cov: np.ndarray):
+    """Radial reduction of the displaced Gaussian ``(mean, cov)`` against functions of angle.
 
     Returns ``(profile, norm)`` with ``norm * integral(f(phi) * profile(phi) dphi)
     = E[f(angle)]``: with ``q = u^T C^{-1} u``, the radial integral
     ``int_0^inf R * rho(R*u(phi)) dR`` is ``1/q(phi)`` plus an erf term in the mean,
-    routed through ``erfcx`` so nothing overflows.  A point or rank-1 state raises
-    ``ValueError``; the profile, called on an array of angles, raises
-    :class:`QuadratureNotConverged` if ``q`` rounds to zero or below at any of them.
+    routed through ``erfcx`` so nothing overflows.  ``C`` takes the mean of ``cov``'s
+    two off-diagonals, which a pushed correlated start rounds apart.  A point or
+    rank-1 state raises ``ValueError``; the profile, called on an array of angles,
+    raises :class:`QuadratureNotConverged` if ``q`` rounds to zero or below at any of them.
     """
-    det = _det(state.cov)
+    (a, b), (c, e) = cov.tolist()
+    sym = np.array([[a, (b + c) / 2.0], [(b + c) / 2.0, e]])
+    det = _det(sym)
     if det <= _DEGENERATE_TOL:
         raise ValueError("degenerate covariance has no angle density")
-    i00, i01, i11 = _inverse(state.cov, det)
-    m0, m1 = state.mean.tolist()
-    norm = state.mass / (2.0 * math.pi * math.sqrt(det))
+    i00, i01, i11 = _inverse(sym, det)
+    m0, m1 = mean.tolist()
+    norm = 1.0 / (2.0 * math.pi * math.sqrt(det))
     g0, g1 = i00 * m0 + i01 * m1, i01 * m0 + i11 * m1
     w = m0 * g0 + m1 * g1
     damp = math.exp(-w / 2.0)
@@ -161,16 +164,24 @@ def _angle_rule(f: Callable[[np.ndarray], np.ndarray], beta_t: float, tol: float
     return integrate(g, (-2.0, -1.0, 0.0, *(cut * k / n for k in range(1, n + 1))), tol)
 
 
+def _mean_angle(mean: np.ndarray, cov: np.ndarray, beta_t: float, tol: float) -> float:
+    """Mean canonical angle of the physical-frame Gaussian ``(mean, cov)`` at ``beta_t``.
+
+    Closed form for a centred state, else the physical-angle integral to ``tol``.
+    """
+    if not mean.any():  # centred
+        return _centred_mean_angle(cov, math.exp(-beta_t))
+    profile, norm = _angle_profile(mean, cov)
+    return _angle_rule(lambda a: a * norm, beta_t, tol, profile)
+
+
 def mean_angle(state: Gaussian2D, tol: float = 1e-10) -> float:
     """Expectation of the polar angle ``atan2(y, x)`` on [-pi, pi) in ``state``.
 
     Closed form for a centred state, else angular quadrature to ``tol``.
     Signs follow the branch convention ``x + i*y = R*exp(i*phi)``.
     """
-    if not state.mean.any():  # centred
-        return state.mass * _centred_mean_angle(state.cov, 1.0)
-    profile, norm = _angle_profile(state)
-    return _angle_rule(lambda a: a * norm, 0.0, tol, profile)
+    return _mean_angle(state.mean, state.cov, 0.0, tol)
 
 
 def phase_expectation(state0: Gaussian2D | None, d: DerivedParams, t: float,
@@ -178,17 +189,12 @@ def phase_expectation(state0: Gaussian2D | None, d: DerivedParams, t: float,
     """Expectation of the quantised phase at time ``t``.
 
     ``state0`` is the initial state (ground state when ``None``).  Its physical
-    state ``(F m0, F C0 F^T + cov_physical)`` is O(1) at every ``beta*t``: a
-    centred start's value is closed form in it, a displaced start's is its
+    state ``(F m0, F C0 F^T + cov_physical)`` is O(1) at every ``beta*t``: where
+    its mean is zero the value is closed form in it, else it is its
     physical-angle integral to ``tol``.  Both decay to zero.
     """
     state0 = ground_state() if state0 is None else state0
-    kern = propagator(d, t)
-    cov = kern.flow @ state0.cov @ kern.flow.T + kern.cov_physical
-    if state0.mean.any():  # displaced
-        profile, norm = _angle_profile(Gaussian2D(kern.flow @ state0.mean, cov, state0.log_mass))
-        return _angle_rule(lambda a: a * norm, d.beta * t, tol, profile)
-    return state0.mass * _centred_mean_angle(cov, math.exp(-d.beta * t))
+    return _mean_angle(*_push(state0.mean, state0.cov, d, t), d.beta * t, tol)
 
 
 def thermal_angle_expectation(phi_func: Callable[[np.ndarray], np.ndarray],

@@ -441,13 +441,10 @@ def phase_variance_diagonal(m: int, kind: str = "canonical", beta_t: float = 0.0
     bracket = lambda span: [float(b[0]) for b in _tail_bracket(np.array([m]), m + span, c_m, bt)]
 
     span = 50_000
-    while True:
-        low, high = bracket(span)
-        if (high - low) / 2.0 <= tol or span >= _MAX_TERMS:
-            break
-        span *= 2
-    span = min(span, _MAX_TERMS)
     low, high = bracket(span)
+    while (high - low) / 2.0 > tol and span < _MAX_TERMS:
+        span = min(2 * span, _MAX_TERMS)
+        low, high = bracket(span)
 
     total = 0.0
     # finite part below the diagonal: lesser index is j, parity decides the ratio

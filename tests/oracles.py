@@ -376,8 +376,7 @@ def displaced_angle_exact(physical: Gaussian2D, beta_t: float, digits: int = 40)
 
         edges = [-mpmath.pi, -mpmath.pi / 2, 0, mpmath.pi / 2, mpmath.pi]
         total = mpmath.quad(weighted, edges)
-        return float(physical.mass * mpmath.exp(-w / 2) * total
-                     / (2 * mpmath.pi * mpmath.sqrt(det)))
+        return float(mpmath.exp(-w / 2) * total / (2 * mpmath.pi * mpmath.sqrt(det)))
 
 
 @dataclass(frozen=True)

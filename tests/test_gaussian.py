@@ -93,6 +93,19 @@ def _linalg_uses(tree):
     return uses
 
 
+def _calls_to(tree, name):
+    """Lines of every call to ``name``, as a bare name or an attribute, in ``tree``."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) == name or getattr(node.func, "attr", None) == name)]
+
+
+def test_only_gaussian_calls_the_propagator():
+    # every observable reads the physical-frame state through gaussian._push
+    callers = {path.stem for path in Path(wigosc.__file__).parent.glob("*.py")
+               if _calls_to(ast.parse(path.read_text()), "propagator")}
+    assert callers == {"gaussian"}
+
+
 class TestClosedForms:
     """The closed-form 2x2 algebra against exact rational arithmetic and ``np.linalg``."""
 
@@ -388,12 +401,6 @@ class TestEvolve:
             np.testing.assert_allclose(out.cov, 0.5 * np.eye(2), atol=1e-14)
             np.testing.assert_allclose(out.mean, 0.0, atol=1e-15)
 
-    def test_mass_is_preserved(self, d_default):
-        state = Gaussian2D(np.array([0.4, -1.0]), np.array([[0.7, 0.1], [0.1, 0.5]]),
-                           log_mass=0.123)
-        for t in (0.0, 1.0, 40.0):
-            assert evolve(state, d_default, t).log_mass == state.log_mass
-
     def test_two_leg_evolution_equals_one_leg(self, d_default):
         # evolve(evolve(rho, t1), t1 -> t2) == evolve(rho, t2), handing over in
         # the physical frame, where the dynamics does not depend on the start
@@ -473,12 +480,11 @@ class TestThermalState:
 
 class TestGaussian2D:
     def test_mass_and_analytic_integral_agree(self):
-        state = Gaussian2D(np.array([0.3, 0.7]), np.array([[2.0, 0.4], [0.4, 1.0]]),
-                           log_mass=-0.25)
+        state = Gaussian2D(np.array([0.3, 0.7]), np.array([[2.0, 0.4], [0.4, 1.0]]))
         # closed Gaussian integral: amplitude * 2*pi*sqrt(det)
         amp = float(state.density(*state.mean))
         integral = amp * 2.0 * math.pi * math.sqrt(float(np.linalg.det(state.cov)))
-        assert integral == pytest.approx(state.mass, rel=1e-12)
+        assert integral == pytest.approx(1.0, rel=1e-12)
 
     def test_rejects_asymmetric_covariance(self):
         with pytest.raises(ValueError):
@@ -502,8 +508,16 @@ class TestGaussian2D:
     def test_physical_view_keeps_mass(self, d_default):
         state = coherent_state(1.0, 2.0)
         view = state.physical(d_default.beta, 6.0)
-        assert view.mass == state.mass
         assert view.mean[0] == pytest.approx(math.exp(-d_default.beta * 6.0), rel=1e-15)
+
+    @pytest.mark.parametrize("bt", [0.0, 0.7, 30.0, 800.0])
+    def test_physical_view_equals_scaling_matmul(self, bt):
+        # the elementwise scaling gives the bits of diag(s, 1) @ cov @ diag(s, 1)
+        state = Gaussian2D(np.array([0.7, -0.4]), np.array([[1.3, 0.4], [0.4, 0.8]]))
+        scale = np.diag([math.exp(-bt), 1.0])
+        view = state.physical(1.0, bt)
+        assert view.mean.tobytes() == (scale @ state.mean).tobytes()
+        assert view.cov.tobytes() == (scale @ state.cov @ scale).tobytes()
 
     @pytest.mark.parametrize("beta, t, match", [
         (1.0, -1000.0, "time"),  # exp(1000) used to raise OverflowError

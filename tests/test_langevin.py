@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -285,6 +286,16 @@ class TestComparison:
         report = simulate_ensemble(params, cfg)
         with pytest.raises(ValueError, match="at least 2 trajectories"):
             compare_to_propagator(report, derive(params))
+
+    def test_correlated_start_zscores_bit_for_bit(self):
+        # the physical-frame push behind every z-score, pinned for a start whose
+        # pushed covariance rounds its two off-diagonals apart
+        params = make_params(5.0, 0.25)
+        cfg = SdeConfig(dt=0.01, n_steps=400, n_trajectories=512, seed=5, record_every=50)
+        report = simulate_ensemble(params, cfg, initial=_CORRELATED)
+        z = compare_to_propagator(report, derive(params)).z_scores
+        assert hashlib.sha256(z.tobytes()).hexdigest() == (
+            "bcb0e889f2734506c7645c757240b8d6d3611a7b891a3c5a6166789fb0c1d934")
 
     def test_zscore_layout(self, clean_run):
         params, report = clean_run

@@ -226,7 +226,7 @@ class TestMeanAngle:
     def test_profile_normalisation(self):
         # E[1] through the same radial reduction must be exactly 1
         state = Gaussian2D(np.array([0.5, 0.2]), np.array([[1.3, 0.4], [0.4, 0.8]]))
-        profile, norm = _angle_profile(state)
+        profile, norm = _angle_profile(state.mean, state.cov)
         from wigosc.quadrature import integrate_angular
         total = norm * integrate_angular(profile, tol=1e-12)
         assert total == pytest.approx(1.0, abs=1e-10)
@@ -418,6 +418,36 @@ def test_golden_phase_means_against_exact_kernel(big_d, big_b, beta_t):
     t = beta_t / d.beta
     exact = ground_start_phase_exact(d, t)
     assert abs(phase_expectation(None, d, t) - exact) <= 1e-13 * abs(exact)
+
+
+# Starts off the ground state, recorded at cb7c236: the displaced and
+# correlated-centred phase means and the displaced mean angles.  A reroute of
+# the physical-frame push or of the centred/displaced dispatch must keep them
+# bit for bit.  At bt2.5 the pushed covariance's off-diagonals differ by an ulp.
+_CORR = np.array([[1.3, 0.4], [0.4, 0.8]])
+GOLDEN_STARTS = {"coherent": coherent_state(0.8, -0.5),
+                 "correlated": Gaussian2D(np.array([0.7, -0.4]), _CORR),
+                 "centred": Gaussian2D(np.zeros(2), _CORR)}
+GOLDEN_PHASE = [
+    ("coherent", 5.0, 0.25, 1.5, -0.2555291502824679),
+    ("correlated", 200.0, 0.8, 6.0, -0.000759081638727916),
+    ("correlated", 30.0, 1.2, 2.5, -0.08892392852164085),
+    ("centred", 30.0, 1.2, 2.5, -0.15068419112445186),
+    ("centred", 1000.0, 0.5, 0.7, -0.4283430099264079),
+]
+GOLDEN_ANGLE = [("coherent", -0.49579258382449726), ("correlated", -0.5644219837553824)]
+
+
+@pytest.mark.parametrize("start, big_d, big_b, beta_t, phase_mean", GOLDEN_PHASE,
+                         ids=[f"{row[0]}-bt{row[3]:g}" for row in GOLDEN_PHASE])
+def test_golden_start_phase_means_bit_for_bit(start, big_d, big_b, beta_t, phase_mean):
+    d = derive(ModelParams.from_dimensionless(big_d, big_b))
+    assert phase_expectation(GOLDEN_STARTS[start], d, beta_t / d.beta) == phase_mean
+
+
+@pytest.mark.parametrize("start, angle", GOLDEN_ANGLE, ids=[row[0] for row in GOLDEN_ANGLE])
+def test_golden_mean_angles_bit_for_bit(start, angle):
+    assert mean_angle(GOLDEN_STARTS[start]) == angle
 
 
 @settings(max_examples=6, deadline=None)

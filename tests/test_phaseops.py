@@ -335,6 +335,13 @@ class TestVarianceSeries:
         est = phase_variance_diagonal(0, tol=1e-7)
         assert abs(est.value - V0_ORACLE) <= est.tail_bound + 1e-12
 
+    def test_unreachable_tol_stops_at_the_term_cap(self):
+        # no bracket over 8 million terms is 1e-300 wide: the doubling stops at the cap
+        m = 3
+        est = phase_variance_diagonal(m, tol=1e-300)
+        assert est.terms == m + 8_000_000
+        assert est.tail_bound > 1e-300
+
     def test_bracket_contains_refined_value(self):
         # a short certified bracket must contain a much longer summation
         for m in (0, 1, 5, 8):
