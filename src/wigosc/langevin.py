@@ -1,21 +1,30 @@
 """Monte-Carlo integration of the damped, noise-driven oscillator.
 
 This is the independent validation path for the Gaussian engine: it never
-touches the analytic covariance algebra.  Trajectories of the physical pair
-``(q, P)`` are advanced by a low-order stochastic one-step method and reduced
-to streaming moments of the dimensionless physical coordinates ``(X, y)``.
+touches the analytic covariance algebra.  Trajectories of the dimensionless
+physical pair ``(X, y)`` are advanced by a low-order stochastic one-step
+method and reduced to streaming moments.
 
 Reproducibility contract: every trajectory owns a counter-based RNG stream
-keyed by ``(seed, trajectory_index)``, trajectories are processed in blocks
-of a fixed size, and block partial sums are merged in index order.  Results
-are therefore bit-identical across runs and across worker-thread counts.
+keyed by ``(seed, trajectory_index)``, trajectories are processed in groups
+of a fixed size, and group partial sums are merged in index order.  Results
+are therefore bit-identical across runs and worker-thread counts.  The sums
+over a piece's steps are BLAS matrix products, whose order of accumulation
+belongs to the kernel the BLAS picks for the CPU; so the bits, and the digest,
+are promised only for one numpy/BLAS build on one CPU type.  The tests find
+one digest at 1 and 2 OpenBLAS threads: OpenBLAS splits a product's rows and
+columns across threads, never the summed dimension.  On other hardware a
+different digest means a different rounding of the same draws: the moments
+still agree with the per-step recursion within 1e-13 of their scale, the
+bound the tests hold them to.
 
-Noise layout: per chunk of steps, each generator of a group fills one
-contiguous row of a small ``(group, steps)`` tile; one multiply per group
-scales the tile by the noise amplitude and transposes it into a step-major
-``(steps, block)`` buffer, so each step reads one contiguous row.  Writing
-each stream straight into a column of that buffer strides by a whole row
-per normal; that took 0.20 s per 2500 x 4096 chunk against 0.12 s.
+Noise layout: the step is linear, ``z' = A z + b xi``, so over a piece of
+``L`` steps between record steps or chunk ends a trajectory moves by
+``z <- A**L z + sum_s A**(L-1-s) b xi_s``.  Per chunk of steps, each
+generator of a group fills one contiguous row of a ``(group, chunk)`` tile,
+and each piece is one product of the tile's columns with the kernel
+``H_L[s] = A**(L-1-s) b``.  No per-step loop and no step-major noise buffer
+remain; on two threads both the draws and the products run outside the GIL.
 
 The one-step method is the semi-implicit (symplectic) Euler-Maruyama update:
 the momentum kick uses the old position, the position drift the new momentum.
@@ -55,13 +64,12 @@ __all__ = [
     "compare_to_propagator",
 ]
 
-_BLOCK = 4096      # trajectories per block; fixed so the reduction order is fixed
-# Steps per noise chunk and generators per tile: each generator fills a
-# contiguous _CHUNK-long row of a (_GROUP, _CHUNK) tile (4 MB), which one
-# scaled transpose moves into the block's (_CHUNK, _BLOCK) step-major buffer.
-# Neither size changes any result: each stream is read in the same order.
-_CHUNK = 1000
-_GROUP = 512
+# Trajectories per group and steps per noise chunk: each group's generators
+# fill the rows of one (_GROUP, _CHUNK) tile (8 MB).  Both are fixed, because
+# the group fixes the reduction order and the chunk ends cut the linear map
+# into pieces; each stream is read in the same order at any size.
+_GROUP = 256
+_CHUNK = 4000
 
 
 def default_threads() -> int:
@@ -121,10 +129,11 @@ class SdeConfig:
 class MomentReport:
     """Per-time ensemble moments of the physical pair ``(X, y)``.
 
-    ``noise_s`` and ``step_s`` are the seconds spent drawing and laying out
-    the noise and stepping the trajectories, summed over blocks (so across
-    threads they can add up to more than the wall time).  They are cost
-    records, not results: :meth:`digest` leaves them out.
+    ``noise_s`` is the seconds spent building the generators and drawing the
+    noise, ``step_s`` those spent applying the chain's linear map and summing
+    the records, both summed over groups (so across threads they can add up
+    to more than the wall time).  They are cost records, not results:
+    :meth:`digest` leaves them out.
     """
 
     times: np.ndarray
@@ -166,80 +175,90 @@ def _start_moments(initial) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     return mean, cov, evecs @ np.diag(np.sqrt(np.clip(evals, 0.0, None)))
 
 
-def _run_block(block_index: int, params: ModelParams, cfg: SdeConfig, mean0: np.ndarray,
-               root: np.ndarray | None,
-               rec_idx: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Simulate one block of trajectories; return ``(sums, noise_s, step_s)``.
+def _schedule(cfg: SdeConfig, rec_idx: np.ndarray) -> list[tuple[int, list[tuple]]]:
+    """Chunks ``(steps, pieces)`` of at most ``_CHUNK`` steps, cut at the record steps.
+
+    A piece ``(col, length, slot)`` covers tile columns ``col .. col + length``
+    and ends on record ``slot`` (``None`` where it ends only the chunk).
+    """
+    chunks = []
+    for c0 in range(0, cfg.n_steps, _CHUNK):
+        ns = min(_CHUNK, cfg.n_steps - c0)
+        # records inside the chunk are rec_idx[lo:hi]; the last record, n_steps,
+        # is never before the chunk's end, so rec_idx[hi] exists
+        lo, hi = np.searchsorted(rec_idx, (c0 + 1, c0 + ns)).tolist()
+        ends = (rec_idx[lo:hi] - c0).tolist() + [ns]
+        slots = [*range(lo, hi), hi if rec_idx[hi] == c0 + ns else None]
+        pieces = [(col, end - col, slot) for col, end, slot in zip([0] + ends, ends, slots)]
+        chunks.append((ns, pieces))
+    return chunks
+
+
+def _kernels(params: ModelParams, dt: float, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(powers, rev)`` with ``powers[L] = A**L`` and ``rev[top - L:] = H_L`` for ``L <= top``.
+
+    ``H_L[s] = A**(L-1-s) b`` is the kernel of a piece of ``L`` steps.  One step
+    is ``z' = A z + b xi`` in ``z = (X, y)``: with ``h = omega*dt``,
+    ``X' = (1 - beta*dt) X - h y + s xi`` and ``y' = y + h X'``, where
+    ``s = sqrt(mu*dt)/(hbar*alpha)``.  ``A**k`` for ``k <= top`` comes by
+    doubling, ``A**(j + n) = A**j A**n``, so each power is at most ``log2(k)``
+    2x2 products deep.
+    """
+    h = params.omega * dt
+    c = 1.0 - params.beta * dt
+    alpha = math.sqrt(params.mass * params.omega / params.hbar)
+    a = np.array([[c, -h], [h * c, 1.0 - h * h]])
+    b = math.sqrt(params.noise_strength * dt) / (params.hbar * alpha) * np.array([1.0, h])
+    powers = np.empty((top + 1, 2, 2))
+    powers[0] = np.eye(2)
+    n, a_n = 1, a
+    while n <= top:
+        m = min(n, top + 1 - n)
+        np.matmul(powers[:m], a_n, out=powers[n:n + m])
+        n, a_n = 2 * n, a_n @ a_n
+    kicks = powers[:top] @ b  # A**k b
+    return powers, np.ascontiguousarray(kicks[::-1])
+
+
+def _run_group(group: int, cfg: SdeConfig, mean0: np.ndarray, root: np.ndarray | None,
+               schedule, powers: np.ndarray, rev: np.ndarray,
+               nout: int) -> tuple[np.ndarray, float, float]:
+    """Simulate one group of trajectories; return ``(sums, noise_s, step_s)``.
 
     ``sums`` is (nout, 5) with column order X, y, X*X, X*y, y*y, summed over
-    the block's trajectories; ``noise_s`` and ``step_s`` are the seconds spent
-    filling and transposing the noise and stepping.
+    the group's trajectories.  ``noise_s`` is the seconds spent building the
+    generators and drawing the noise, ``step_s`` those spent applying the
+    chain's linear map and summing the records.
     """
-    m, w, b = params.mass, params.omega, params.beta
-    hbar = params.hbar
-    alpha = math.sqrt(m * w / hbar)
-    scale_p = hbar * alpha  # X = P / (hbar*alpha)
-    dt = cfg.dt
-    sq = math.sqrt(params.noise_strength * dt)
-    c_fric = 1.0 - b * dt
-    c_spring = -m * w * w * dt
-    dtm = dt / m
-
-    lo = block_index * _BLOCK
-    nb = min(_BLOCK, cfg.n_trajectories - lo)
-    gens = [Generator(Philox(key=[cfg.seed, lo + i])) for i in range(nb)]
-
-    q = np.full(nb, mean0[1] / alpha)
-    p = np.full(nb, mean0[0] * scale_p)
+    t0 = perf_counter()
+    lo = group * _GROUP
+    ng = min(_GROUP, cfg.n_trajectories - lo)
+    gens = [Generator(Philox(key=[cfg.seed, lo + i])) for i in range(ng)]
+    z = np.tile(mean0, (ng, 1))
     if root is not None:
-        for i, gen in enumerate(gens):
-            x, y = mean0 + root @ gen.standard_normal(2)
-            q[i], p[i] = y / alpha, x * scale_p
+        z += np.array([gen.standard_normal(2) for gen in gens]) @ root.T
+    tile = np.empty((ng, schedule[0][0]))
+    noise_s = perf_counter() - t0
+    step_s = 0.0
 
-    nout = len(rec_idx)
     sums = np.zeros((nout, 5))
-    rec_set = {int(s): k for k, s in enumerate(rec_idx)}
 
     def record(slot: int) -> None:
-        x_dim = p / scale_p
-        y_dim = alpha * q
-        sums[slot, 0] = x_dim.sum()
-        sums[slot, 1] = y_dim.sum()
-        sums[slot, 2] = (x_dim * x_dim).sum()
-        sums[slot, 3] = (x_dim * y_dim).sum()
-        sums[slot, 4] = (y_dim * y_dim).sum()
+        x, y = z[:, 0], z[:, 1]
+        sums[slot] = (x.sum(), y.sum(), (x * x).sum(), (x * y).sum(), (y * y).sum())
 
-    if 0 in rec_set:
-        record(rec_set[0])
-    chunk = min(_CHUNK, cfg.n_steps)
-    noise = np.empty((chunk, nb))
-    tile = np.empty((min(_GROUP, nb), chunk))
-    tmp = np.empty(nb)
-    noise_s = step_s = 0.0
-    step = 0
-    while step < cfg.n_steps:
-        ns = min(_CHUNK, cfg.n_steps - step)
-        for j0 in range(0, nb, _GROUP):
-            t0 = perf_counter()
-            j1 = min(j0 + _GROUP, nb)
-            rows = tile[:j1 - j0, :ns]
-            for row, gen in zip(rows, gens[j0:j1]):
-                gen.standard_normal(out=row)
-            np.multiply(rows.T, sq, out=noise[:ns, j0:j1])
-            noise_s += perf_counter() - t0
+    record(0)  # every record list starts at step 0
+    for ns, pieces in schedule:
         t0 = perf_counter()
-        for s in range(ns):
-            p *= c_fric
-            np.multiply(q, c_spring, out=tmp)
-            p += tmp
-            p += noise[s]
-            np.multiply(p, dtm, out=tmp)
-            q += tmp
-            step += 1
-            slot = rec_set.get(step)
+        for row, gen in zip(tile[:, :ns], gens):
+            gen.standard_normal(out=row)
+        t1 = perf_counter()
+        for col, length, slot in pieces:
+            z = z @ powers[length].T + tile[:, col:col + length] @ rev[len(rev) - length:]
             if slot is not None:
                 record(slot)
-        step_s += perf_counter() - t0
+        noise_s += t1 - t0
+        step_s += perf_counter() - t1
     return sums, noise_s, step_s
 
 
@@ -256,18 +275,21 @@ def simulate_ensemble(params: ModelParams, cfg: SdeConfig,
         raise StepTooLarge(f"omega*dt = {params.omega * cfg.dt:.3g} > 0.1")
     mean0, cov0, root = _start_moments(initial)
     rec_idx = cfg.record_indices()
-    n_blocks = (cfg.n_trajectories + _BLOCK - 1) // _BLOCK
+    schedule = _schedule(cfg, rec_idx)
+    powers, rev = _kernels(params, cfg.dt, min(_CHUNK, cfg.n_steps))
+    n_groups = -(-cfg.n_trajectories // _GROUP)
     threads = cfg.threads if cfg.threads > 0 else default_threads()
 
     sums = np.zeros((len(rec_idx), 5))
     noise_s = step_s = 0.0
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        # map yields in block order, so the merge order is fixed
-        for part, block_noise_s, block_step_s in pool.map(
-                lambda i: _run_block(i, params, cfg, mean0, root, rec_idx), range(n_blocks)):
+        # map yields in group order, so the merge order is fixed
+        for part, group_noise_s, group_step_s in pool.map(
+                lambda g: _run_group(g, cfg, mean0, root, schedule, powers, rev, len(rec_idx)),
+                range(n_groups)):
             sums += part
-            noise_s += block_noise_s
-            step_s += block_step_s
+            noise_s += group_noise_s
+            step_s += group_step_s
 
     n = cfg.n_trajectories
     mean = sums[:, :2] / n

@@ -100,17 +100,31 @@ def _angle_profile(mean: np.ndarray, cov: np.ndarray):
     = E[f(angle)]``: with ``q = u^T C^{-1} u``, the radial integral
     ``int_0^inf R * rho(R*u(phi)) dR`` is ``1/q(phi)`` plus an erf term in the mean,
     routed through ``erfcx`` so nothing overflows.  ``C`` takes the mean of ``cov``'s
-    two off-diagonals, which a pushed correlated start rounds apart.  A point or
-    rank-1 state raises ``ValueError``; the profile, called on an array of angles,
-    raises :class:`QuadratureNotConverged` if ``q`` rounds to zero or below at any of them.
+    two off-diagonals, which a pushed correlated start rounds apart.
+
+    A point or rank-1 state raises ``ValueError``, judged at the state's own scale as
+    by ``Gaussian2D.is_degenerate``.  The profile itself is built from
+    ``(2**-j m, 4**-j C)``, which has the same angle law; ``j`` puts the largest entry
+    in [0.5, 2), so ``det`` does not overflow past entries of ~1e154.  The scaling is
+    exact, so the result depends on ``(m, C)`` only up to that scale.  Where ``det`` is
+    still <= ``_DEGENERATE_TOL`` there, the eigenvalues lie ~1e300 apart and the state
+    is too eccentric for the quadrature: :class:`QuadratureNotConverged`.  A weight
+    ``q`` that rounds to zero or below makes the integrand non-finite, which
+    :func:`integrate` reports the same way.
     """
     (a, b), (c, e) = cov.tolist()
-    sym = np.array([[a, (b + c) / 2.0], [(b + c) / 2.0, e]])
+    off = (b + c) / 2.0
+    sym = np.array([[a, off], [off, e]])
+    if _det(sym) <= _DEGENERATE_TOL:
+        raise ValueError("degenerate covariance has no angle density")
+    j = math.frexp(max(abs(a), abs(off), abs(e)))[1] // 2
+    sym = np.ldexp(sym, -2 * j)
     det = _det(sym)
     if det <= _DEGENERATE_TOL:
-        raise ValueError("degenerate covariance has no angle density")
+        raise QuadratureNotConverged(f"state too eccentric: det = {det!r} at unit scale",
+                                     math.nan, math.inf, math.nan)
     i00, i01, i11 = _inverse(sym, det)
-    m0, m1 = mean.tolist()
+    m0, m1 = (math.ldexp(v, -j) for v in mean.tolist())
     norm = 1.0 / (2.0 * math.pi * math.sqrt(det))
     g0, g1 = i00 * m0 + i01 * m1, i01 * m0 + i11 * m1
     w = m0 * g0 + m1 * g1
@@ -119,9 +133,6 @@ def _angle_profile(mean: np.ndarray, cov: np.ndarray):
     def offset(phi: np.ndarray) -> np.ndarray:
         c, s = np.cos(phi), np.sin(phi)
         q = i00 * c * c + 2.0 * i01 * c * s + i11 * s * s
-        if not (q > 0.0).all():
-            raise QuadratureNotConverged(f"angle weight q(phi) = {q.min()!r} <= 0: "
-                                         "state too eccentric", math.nan, math.inf, math.nan)
         lin = c * g0 + s * g1
         h = lin / np.sqrt(2.0 * q)
         # h^2 <= w/2 by Cauchy-Schwarz, so the exponent stays <= 0; erfcx sees only h < 0

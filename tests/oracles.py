@@ -17,7 +17,6 @@ from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import gammaln, ndtr, ndtri
 
 from wigosc import DerivedParams, Gaussian2D, ModelParams, SdeConfig, ground_state, propagator
-from wigosc.langevin import _BLOCK
 
 _I_POW = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
 
@@ -472,17 +471,17 @@ def scheme_moments(params: ModelParams, dt: float, n_steps: int, mean0: np.ndarr
     return mean, cov
 
 
-def run_block_columns(block_index: int, params: ModelParams, cfg: SdeConfig,
-                      mean0: np.ndarray, root: np.ndarray | None,
-                      rec_idx: np.ndarray) -> np.ndarray:
-    """(nout, 5) moment sums of one block, with each stream written into a column.
+def run_block_columns(params: ModelParams, cfg: SdeConfig, mean0: np.ndarray,
+                      root: np.ndarray | None, rec_idx: np.ndarray) -> np.ndarray:
+    """(nout, 5) moment sums of the whole ensemble, stepped one step at a time.
 
-    The plain layout of the Langevin oracle's block loop: every chunk of
-    2500 steps draws each trajectory's normals into its own column of a
-    step-major buffer, and each step computes its products afresh.  Exact
-    oracle for the row-filled, tiled-transpose noise path of
-    ``wigosc.langevin._run_block``: same streams, same arithmetic, so the
-    sums must agree bit for bit.
+    The plain Langevin loop in the physical pair ``(q, p)``: all trajectories
+    form one block, every chunk of 2500 steps draws each trajectory's normals
+    into its own column of a step-major buffer, and each step applies the
+    semi-implicit update to every trajectory.  Oracle for
+    ``wigosc.simulate_ensemble``, which reads the same streams in the same
+    order but sums each piece of steps by the chain's linear map, so the two
+    agree to rounding, not bit for bit.
     """
     m, w, b = params.mass, params.omega, params.beta
     alpha = math.sqrt(m * w / params.hbar)
@@ -493,9 +492,8 @@ def run_block_columns(block_index: int, params: ModelParams, cfg: SdeConfig,
     c_spring = -m * w * w * dt
     dtm = dt / m
 
-    lo = block_index * _BLOCK
-    nb = min(_BLOCK, cfg.n_trajectories - lo)
-    gens = [Generator(Philox(key=[cfg.seed, lo + i])) for i in range(nb)]
+    nb = cfg.n_trajectories
+    gens = [Generator(Philox(key=[cfg.seed, i])) for i in range(nb)]
     q = np.full(nb, mean0[1] / alpha)
     p = np.full(nb, mean0[0] * scale_p)
     if root is not None:

@@ -1,6 +1,10 @@
 import dataclasses
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,27 +180,60 @@ class TestMoments:
 
 _CORRELATED = Gaussian2D(np.array([0.7, -0.4]), np.array([[1.3, 0.4], [0.4, 0.8]]))
 _STARTS = {"ground": None, "gaussian": _CORRELATED, "point": PhasePoint(1.0, 0.5)}
-# every trajectory count meets every step count; starts and strides cycle so
-# that each (start, stride) pair occurs too
-_LAYOUT_CASES = [(n, steps, list(_STARTS)[(i + j) % 3], (0, 1, 7)[(i + 2 * j) % 3])
-                 for i, n in enumerate((1, 511, 513, 4097))
-                 for j, steps in enumerate((1, 999, 1000, 1001, 2501))]
+
+
+def _layout_cases(counts, steps):
+    # every trajectory count meets every step count; starts and strides cycle
+    # so that each (start, stride) pair occurs too
+    return [(n, ns, list(_STARTS)[(i + j) % 3], (0, 1, 7)[(i + 2 * j) % 3])
+            for i, n in enumerate(counts) for j, ns in enumerate(steps)]
+
+
+_G, _C = langevin._GROUP, langevin._CHUNK
+# group and chunk edges, plus the edges of the earlier block layout (511/513
+# trajectories, 999-1001 steps), which are ordinary cases now
+_LAYOUT_CASES = sorted(set(_layout_cases((1, _G - 1, _G + 1, 4097), (1, _C - 1, _C, _C + 1, 2501))
+                           + _layout_cases((1, 511, 513, 4097), (1, 999, 1000, 1001, 2501))))
+
+
+def _moments(sums, n):
+    """Mean and covariance from (nout, 5) sums, in ``simulate_ensemble``'s arithmetic."""
+    mean = sums[:, :2] / n
+    bessel = n / (n - 1.0) if n > 1 else 1.0
+    cov = np.empty((len(sums), 2, 2))
+    cov[:, 0, 0] = (sums[:, 2] / n - mean[:, 0] ** 2) * bessel
+    cov[:, 0, 1] = cov[:, 1, 0] = (sums[:, 3] / n - mean[:, 0] * mean[:, 1]) * bessel
+    cov[:, 1, 1] = (sums[:, 4] / n - mean[:, 1] ** 2) * bessel
+    return mean, cov
 
 
 class TestNoiseLayout:
     @pytest.mark.parametrize("n, steps, start, record_every", _LAYOUT_CASES)
     def test_block_sums_equal_column_fill_oracle(self, n, steps, start, record_every):
-        # group and chunk edges (511/513 trajectories, 999/1000/1001 steps)
-        # must not change a single bit of any block's sums
+        # the linear map over each piece of steps reads the same streams as the
+        # stepping loop and sums them in another order: the moments agree to
+        # rounding; the bound is ~20x the worst seen (4.6e-15) over these cases
         params = ModelParams(mass=1.0, omega=1.0, beta=0.25, theta=1.5)
         cfg = SdeConfig(dt=0.01, n_steps=steps, n_trajectories=n, seed=77,
                         record_every=record_every)
+        report = simulate_ensemble(params, cfg, initial=_STARTS[start])
         mean0, _, root = langevin._start_moments(_STARTS[start])
-        rec_idx = cfg.record_indices()
-        for block in range(-(-n // langevin._BLOCK)):
-            sums, _, _ = langevin._run_block(block, params, cfg, mean0, root, rec_idx)
-            expected = run_block_columns(block, params, cfg, mean0, root, rec_idx)
-            assert np.array_equal(sums, expected), (block, np.max(np.abs(sums - expected)))
+        mean, cov = _moments(run_block_columns(params, cfg, mean0, root, cfg.record_indices()), n)
+        scale = float(np.max(np.abs(mean) + np.sqrt(np.abs(np.diagonal(cov, axis1=1, axis2=2)))))
+        assert np.max(np.abs(report.mean - mean)) <= 1e-13 * scale
+        assert np.max(np.abs(report.cov - cov)) <= 1e-13 * scale ** 2
+
+    def test_noise_free_mean_follows_the_chain(self):
+        # A**L composes across chunk ends (4000, 8000) and record steps (every
+        # 7th); the fixed kernel's rounding adds up over 1143 pieces to 5.4e-14
+        params = ModelParams(mass=1.0, omega=1.0, beta=0.25, mu=0.0)
+        cfg = SdeConfig(dt=0.01, n_steps=2 * _C + 3, n_trajectories=3, seed=4, record_every=7)
+        report = simulate_ensemble(params, cfg, initial=PhasePoint(1.0, 0.5))
+        mean, steps = np.array([1.0, 0.5]), 0
+        for k, step in enumerate(cfg.record_indices()):
+            mean, _ = scheme_moments(params, cfg.dt, int(step) - steps, mean, np.zeros((2, 2)))
+            steps = int(step)
+            assert np.max(np.abs(report.mean[k] - mean)) <= 1e-13 * np.max(np.abs(mean)), k
 
     def test_cost_split_recorded_outside_digest(self):
         params = ModelParams(mass=1.0, omega=1.0, beta=0.25, theta=1.5)
@@ -208,6 +245,16 @@ class TestNoiseLayout:
         assert other.digest() == report.digest()
 
 
+_GOLDEN_DIGEST = "214a7834a93a20924122fd4dfdcbf79b7769df6a673dd3c02411754e4c95b5ba"
+
+
+def _golden_report(threads):
+    params = ModelParams.from_dimensionless(5.0, 0.25)
+    cfg = SdeConfig(dt=0.005, n_steps=2501, n_trajectories=4097, seed=12345,
+                    record_every=7, threads=threads)
+    return simulate_ensemble(params, cfg, initial=_CORRELATED)
+
+
 class TestDeterminism:
     def test_golden_digest(self):
         """The digest of one fixed ensemble is pinned across versions.
@@ -217,12 +264,26 @@ class TestDeterminism:
         declared contract change of the Monte-Carlo streams (ROADMAP item
         4(c)) that CHANGES.md must state and justify, not a value to refresh.
         """
-        params = ModelParams.from_dimensionless(5.0, 0.25)
         for threads in (1, 3):
-            cfg = SdeConfig(dt=0.005, n_steps=2501, n_trajectories=4097, seed=12345,
-                            record_every=7, threads=threads)
-            assert simulate_ensemble(params, cfg, initial=_CORRELATED).digest() == (
-                "77fa29fc23fe1a32671a567d95a6953e035406da6cca087495236b5617f829f0")
+            assert _golden_report(threads).digest() == _GOLDEN_DIGEST
+
+    def test_golden_digest_under_either_blas_pool(self):
+        # the pieces' products run in BLAS; its own thread count is read once,
+        # at numpy's import, so each setting needs a fresh interpreter
+        blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {})
+        name = blas.get("blas", {}).get("name", "")
+        if "openblas" not in name:
+            pytest.skip(f"BLAS {name or 'unknown'!r}: the test sets OpenBLAS's thread count")
+        src = str(Path(langevin.__file__).parents[1])
+        script = ("import sys; sys.path[:0] = sys.argv[1:]\n"
+                  "from test_langevin import _golden_report\n"
+                  "print(*(_golden_report(t).digest() for t in (1, 3)))")
+        for blas_threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": blas_threads}
+            out = subprocess.run([sys.executable, "-c", script, src, str(Path(__file__).parent)],
+                                 env=env, capture_output=True, text=True, check=True,
+                                 timeout=300).stdout
+            assert out.split() == [_GOLDEN_DIGEST] * 2, blas_threads
 
     def test_bit_identical_across_runs_and_threads(self):
         params = ModelParams(mass=1.0, omega=1.0, beta=0.25, theta=1.5)
@@ -295,7 +356,7 @@ class TestComparison:
         report = simulate_ensemble(params, cfg, initial=_CORRELATED)
         z = compare_to_propagator(report, derive(params)).z_scores
         assert hashlib.sha256(z.tobytes()).hexdigest() == (
-            "bcb0e889f2734506c7645c757240b8d6d3611a7b891a3c5a6166789fb0c1d934")
+            "be1971500583029d4c2c1c1c9412722240d6e1a50c093ec6d4b29b377358a5f7")
 
     def test_zscore_layout(self, clean_run):
         params, report = clean_run

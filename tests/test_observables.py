@@ -25,7 +25,7 @@ _LOG_D = st.floats(0.0, math.log(1e7))
 _DAMPING = st.floats(0.01, 1.9)
 
 # A sweep point (D, B, beta*t) whose evolved canonical covariance is so
-# eccentric that the displaced angle weight q(phi) rounds to exactly zero
+# eccentric (variances 7.8e307 and 787) that at unit scale its determinant is ~3e-305
 ECCENTRIC = (1573.942557235534, 0.27694667405087636, 351.1414149356428)
 
 
@@ -310,6 +310,43 @@ class TestMeanAngle:
         state = coherent_state(1.0, 1.0).physical(1.0, 1.5)
         assert abs(mean_angle(state) - displaced_angle_exact(state, 0.0)) <= 1e-10
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(0.1, 10.0),
+           st.floats(0.1, 10.0), st.floats(-0.9, 0.9), st.integers(-400, 400))
+    def test_displaced_angle_is_scale_free_bit_for_bit(self, m0, m1, a, e, rho, j):
+        # the profile works on (2**-k m, 4**-k C) with the largest entry O(1),
+        # the same state for every j as long as no entry scales to a subnormal;
+        # only the degeneracy test reads the state at its own scale
+        b = rho * math.sqrt(a * e)
+        mean, cov = np.array([m0, m1]), np.array([[a, b], [b, e]])
+        assume(mean.any())
+        assume(all(v == 0.0 or abs(math.ldexp(v, min(k, 0))) >= np.finfo(float).tiny
+                   for v, k in ((m0, j), (m1, j), (b, 2 * j))))
+        scaled = Gaussian2D(np.ldexp(mean, j), np.ldexp(cov, 2 * j))
+        if scaled.is_degenerate:  # det * 16**j <= 1e-300, from j ~ -250 down
+            with pytest.raises(ValueError, match="degenerate"):
+                mean_angle(scaled)
+        else:
+            assert mean_angle(Gaussian2D(mean, cov)) == mean_angle(scaled)
+
+    def test_huge_isotropic_state_keeps_its_angle(self):
+        # entries past ~1e154 overflowed the determinant, the inverse read zeros,
+        # and the profile raised "state too eccentric"
+        state = Gaussian2D(np.array([1.0, 0.0]), 1e300 * np.eye(2))
+        assert abs(mean_angle(state)) <= 1e-12
+        d = derive(ModelParams.from_dimensionless(5.0, 0.25))
+        centred = Gaussian2D(np.zeros(2), state.cov)
+        assert phase_expectation(state, d, 0.3) == pytest.approx(
+            phase_expectation(centred, d, 0.3), abs=1e-12)
+
+    def test_tiny_state_is_degenerate_displaced_or_centred(self):
+        # det = 1e-320 at its own scale: the unit-scale profile must not rescue it
+        cov = 1e-160 * np.eye(2)
+        assert Gaussian2D(np.zeros(2), cov).is_degenerate
+        for mean in (np.zeros(2), np.array([1e-80, 0.0])):
+            with pytest.raises(ValueError, match="degenerate"):
+                mean_angle(Gaussian2D(mean, cov))
+
     def test_vanishing_angle_weight_is_loud(self):
         big_d, big_b, beta_t = ECCENTRIC
         d = derive(ModelParams.from_dimensionless(big_d, big_b))
@@ -319,9 +356,12 @@ class TestMeanAngle:
         assert abs(phase_expectation(None, d, t) - exact) <= 4.0 * EPS * abs(exact)
         canonical = evolve(ground_state(), d, t)
         assert abs(mean_angle(canonical) - exact) <= 4.0 * EPS * abs(exact)
-        # the displaced profile still needs q(phi) > 0
+        # not degenerate at its own scale (the determinant overflows there), but
+        # at unit scale its eigenvalues lie ~1e305 apart: its angle law is two
+        # spikes of width ~1e-152 that no quadrature node sees
         displaced = Gaussian2D(np.array([1.0, 1.0]), canonical.cov)
-        with pytest.raises(QuadratureNotConverged, match="angle weight"):
+        assert not displaced.is_degenerate
+        with pytest.raises(QuadratureNotConverged, match="too eccentric"):
             mean_angle(displaced)
 
     def test_weak_damping_curve_tracks_frictionless_reference(self):
