@@ -8,23 +8,26 @@ method and reduced to streaming moments.
 Reproducibility contract: every trajectory owns a counter-based RNG stream
 keyed by ``(seed, trajectory_index)``, trajectories are processed in groups
 of a fixed size, and group partial sums are merged in index order.  Results
-are therefore bit-identical across runs and worker-thread counts.  The sums
-over a piece's steps are BLAS matrix products, whose order of accumulation
-belongs to the kernel the BLAS picks for the CPU; so the bits, and the digest,
-are promised only for one numpy/BLAS build on one CPU type.  The tests find
-one digest at 1 and 2 OpenBLAS threads: OpenBLAS splits a product's rows and
-columns across threads, never the summed dimension.  On other hardware a
-different digest means a different rounding of the same draws: the moments
-still agree with the per-step recursion within 1e-13 of their scale, the
-bound the tests hold them to.
+are therefore bit-identical across runs and worker-thread counts.  The groups
+run on one worker thread per CPU the process may use (``taskset`` limits
+them) unless :class:`SdeConfig` names a count.  The sums over a piece's steps
+are BLAS matrix products, whose order of accumulation belongs to the kernel
+the BLAS picks for the CPU; so the bits, and the digest, are promised only
+for one numpy/BLAS build on one CPU type.  The tests find one digest at 1
+and 2 OpenBLAS threads: OpenBLAS splits a product's rows and columns across
+threads, never the summed dimension.  On other hardware a different digest
+means a different rounding of the same draws: the moments still agree with
+the per-step recursion within 1e-13 of their scale, the bound the tests hold
+them to.
 
 Noise layout: the step is linear, ``z' = A z + b xi``, so over a piece of
-``L`` steps between record steps or chunk ends a trajectory moves by
-``z <- A**L z + sum_s A**(L-1-s) b xi_s``.  Per chunk of steps, each
-generator of a group fills one contiguous row of a ``(group, chunk)`` tile,
-and each piece is one product of the tile's columns with the kernel
-``H_L[s] = A**(L-1-s) b``.  No per-step loop and no step-major noise buffer
-remain; on two threads both the draws and the products run outside the GIL.
+``L`` steps between consecutive cuts (the record steps and the chunk starts)
+a trajectory moves by ``z <- A**L z + sum_s A**(L-1-s) b xi_s``.  Per chunk
+of steps, each generator of a group fills one contiguous row of a
+``(group, chunk)`` tile, and each piece is one product of the tile's columns
+with the kernel ``H_L[s] = A**(L-1-s) b``.  No per-step loop and no
+step-major noise buffer remain; on two threads both the draws and the
+products run outside the GIL.
 
 The one-step method is the semi-implicit (symplectic) Euler-Maruyama update:
 the momentum kick uses the old position, the position drift the new momentum.
@@ -66,22 +69,10 @@ __all__ = [
 
 # Trajectories per group and steps per noise chunk: each group's generators
 # fill the rows of one (_GROUP, _CHUNK) tile (8 MB).  Both are fixed, because
-# the group fixes the reduction order and the chunk ends cut the linear map
+# the group fixes the reduction order and the chunk starts cut the linear map
 # into pieces; each stream is read in the same order at any size.
 _GROUP = 256
 _CHUNK = 4000
-
-
-def default_threads() -> int:
-    """Worker-thread count from the environment (``WIGOSC_THREADS``), else 1."""
-    raw = os.environ.get("WIGOSC_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ValueError(f"WIGOSC_THREADS must be a positive integer, got {raw!r}")
-    return threads
 
 
 @dataclass(frozen=True)
@@ -89,8 +80,9 @@ class SdeConfig:
     """Discretisation and ensemble-size choices for one simulation.
 
     ``record_every`` selects the moment-output stride in steps (0 picks
-    about 25 outputs; the final step is always recorded); ``threads`` <= 0
-    defers to ``WIGOSC_THREADS``.
+    about 25 outputs; the final step is always recorded).  ``threads`` is the
+    worker-thread count; 0 takes one per CPU the process may run on, which
+    ``taskset`` limits.  No count changes a result.
     """
 
     dt: float
@@ -116,6 +108,8 @@ class SdeConfig:
             raise ValueError(f"seed must be an integer in [0, 2**63), got {self.seed!r}")
         if self.record_every < 0:
             raise ValueError(f"record_every must be >= 0, got {self.record_every!r}")
+        if self.threads < 0:
+            raise ValueError(f"threads must be >= 0, got {self.threads!r}")
 
     def record_indices(self) -> np.ndarray:
         stride = self.record_every if self.record_every > 0 else max(1, self.n_steps // 25)
@@ -175,25 +169,6 @@ def _start_moments(initial) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     return mean, cov, evecs @ np.diag(np.sqrt(np.clip(evals, 0.0, None)))
 
 
-def _schedule(cfg: SdeConfig, rec_idx: np.ndarray) -> list[tuple[int, list[tuple]]]:
-    """Chunks ``(steps, pieces)`` of at most ``_CHUNK`` steps, cut at the record steps.
-
-    A piece ``(col, length, slot)`` covers tile columns ``col .. col + length``
-    and ends on record ``slot`` (``None`` where it ends only the chunk).
-    """
-    chunks = []
-    for c0 in range(0, cfg.n_steps, _CHUNK):
-        ns = min(_CHUNK, cfg.n_steps - c0)
-        # records inside the chunk are rec_idx[lo:hi]; the last record, n_steps,
-        # is never before the chunk's end, so rec_idx[hi] exists
-        lo, hi = np.searchsorted(rec_idx, (c0 + 1, c0 + ns)).tolist()
-        ends = (rec_idx[lo:hi] - c0).tolist() + [ns]
-        slots = [*range(lo, hi), hi if rec_idx[hi] == c0 + ns else None]
-        pieces = [(col, end - col, slot) for col, end, slot in zip([0] + ends, ends, slots)]
-        chunks.append((ns, pieces))
-    return chunks
-
-
 def _kernels(params: ModelParams, dt: float, top: int) -> tuple[np.ndarray, np.ndarray]:
     """``(powers, rev)`` with ``powers[L] = A**L`` and ``rev[top - L:] = H_L`` for ``L <= top``.
 
@@ -221,8 +196,8 @@ def _kernels(params: ModelParams, dt: float, top: int) -> tuple[np.ndarray, np.n
 
 
 def _run_group(group: int, cfg: SdeConfig, mean0: np.ndarray, root: np.ndarray | None,
-               schedule, powers: np.ndarray, rev: np.ndarray,
-               nout: int) -> tuple[np.ndarray, float, float]:
+               rec_idx: list[int], cuts: list[int], powers: np.ndarray, rev: np.ndarray
+               ) -> tuple[np.ndarray, float, float]:
     """Simulate one group of trajectories; return ``(sums, noise_s, step_s)``.
 
     ``sums`` is (nout, 5) with column order X, y, X*X, X*y, y*y, summed over
@@ -237,26 +212,30 @@ def _run_group(group: int, cfg: SdeConfig, mean0: np.ndarray, root: np.ndarray |
     z = np.tile(mean0, (ng, 1))
     if root is not None:
         z += np.array([gen.standard_normal(2) for gen in gens]) @ root.T
-    tile = np.empty((ng, schedule[0][0]))
+    tile = np.empty((ng, min(_CHUNK, cfg.n_steps)))
     noise_s = perf_counter() - t0
     step_s = 0.0
 
-    sums = np.zeros((nout, 5))
+    sums = np.zeros((len(rec_idx), 5))
 
     def record(slot: int) -> None:
         x, y = z[:, 0], z[:, 1]
         sums[slot] = (x.sum(), y.sum(), (x * x).sum(), (x * y).sum(), (y * y).sum())
 
     record(0)  # every record list starts at step 0
-    for ns, pieces in schedule:
+    slot = 1
+    for start, end in zip(cuts, cuts[1:]):
         t0 = perf_counter()
-        for row, gen in zip(tile[:, :ns], gens):
-            gen.standard_normal(out=row)
+        col = start % _CHUNK
+        if col == 0:
+            for row, gen in zip(tile[:, :cfg.n_steps - start], gens):
+                gen.standard_normal(out=row)
         t1 = perf_counter()
-        for col, length, slot in pieces:
-            z = z @ powers[length].T + tile[:, col:col + length] @ rev[len(rev) - length:]
-            if slot is not None:
-                record(slot)
+        length = end - start
+        z = z @ powers[length].T + tile[:, col:col + length] @ rev[len(rev) - length:]
+        if end == rec_idx[slot]:
+            record(slot)
+            slot += 1
         noise_s += t1 - t0
         step_s += perf_counter() - t1
     return sums, noise_s, step_s
@@ -275,17 +254,20 @@ def simulate_ensemble(params: ModelParams, cfg: SdeConfig,
         raise StepTooLarge(f"omega*dt = {params.omega * cfg.dt:.3g} > 0.1")
     mean0, cov0, root = _start_moments(initial)
     rec_idx = cfg.record_indices()
-    schedule = _schedule(cfg, rec_idx)
+    records = rec_idx.tolist()
+    # the pieces run between consecutive cuts; a chunk's noise is drawn at its start
+    cuts = sorted({*records, *range(0, cfg.n_steps, _CHUNK)})
     powers, rev = _kernels(params, cfg.dt, min(_CHUNK, cfg.n_steps))
     n_groups = -(-cfg.n_trajectories // _GROUP)
-    threads = cfg.threads if cfg.threads > 0 else default_threads()
+    threads = cfg.threads or (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                              else os.cpu_count() or 1)
 
     sums = np.zeros((len(rec_idx), 5))
     noise_s = step_s = 0.0
     with ThreadPoolExecutor(max_workers=threads) as pool:
         # map yields in group order, so the merge order is fixed
         for part, group_noise_s, group_step_s in pool.map(
-                lambda g: _run_group(g, cfg, mean0, root, schedule, powers, rev, len(rec_idx)),
+                lambda g: _run_group(g, cfg, mean0, root, records, cuts, powers, rev),
                 range(n_groups)):
             sums += part
             noise_s += group_noise_s

@@ -26,6 +26,7 @@ subpackage this module loads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -33,6 +34,7 @@ import numpy as np
 import scipy
 
 from .errors import ConvergenceFailure, SizeTooLarge
+from .quadrature import _check_tol
 
 __all__ = [
     "GMatrix",
@@ -80,13 +82,16 @@ def _check_beta_t(beta_t: float) -> float:
     return beta_t
 
 
-def _check_tol(tol: float) -> None:
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+def _index(name: str, value) -> int:
+    """``value`` as an ``int`` by ``operator.index``; a float or other non-integer raises."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _check_size(n_max: int) -> None:
-    if n_max < 1:
+    if _index("n_max", n_max) < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max!r}")
     if n_max > _MAX_MATRIX:
         raise SizeTooLarge(f"n_max={n_max} exceeds the supported maximum {_MAX_MATRIX}")
@@ -119,6 +124,7 @@ def g_coefficient(m: int, n: int) -> float:
     The diagonal is exactly 1 and entries tend to 1 deep in the table at
     fixed offset.
     """
+    m, n = _index("m", m), _index("n", n)
     if m < 0 or n < 0:
         raise ValueError("indices must be non-negative")
     if m == n:
@@ -158,6 +164,7 @@ def phase_fourier(k: int) -> complex:
     ``c_k = (1/2pi) int phi*exp(i*k*phi) dphi = -i*(-1)**k / k`` for
     ``k != 0`` and ``c_0 = 0``.
     """
+    k = _index("k", k)
     if k == 0:
         return 0.0 + 0.0j
     sign = -1.0 if k % 2 else 1.0
@@ -199,7 +206,6 @@ def angle_operator_matrix(fourier: Callable[[int], complex], n_max: int) -> Herm
     Fourier coefficients of ``Phi``.  The strict lower triangle is filled by
     conjugation, so Hermiticity is exact whenever ``Phi`` is real.
     """
-    _check_size(n_max)
     return _angle_matrix(g_matrix(n_max).values, fourier)
 
 
@@ -210,7 +216,6 @@ def canonical_phase_matrix(n_max: int) -> HermitianMatrix:
     nearest off-diagonal is ``g[m, m+1]`` (real), and the 2x2 truncation has
     eigenvalues ``+-sqrt(pi/2)``.
     """
-    _check_size(n_max)
     return _angle_matrix(g_matrix(n_max).values, phase_fourier)
 
 
@@ -431,6 +436,7 @@ def phase_variance_diagonal(m: int, kind: str = "canonical", beta_t: float = 0.0
     below ``tol`` (or 8 million terms are summed) and closed with the bracket
     midpoint; the achieved half-width is reported.
     """
+    m = _index("m", m)
     if m < 0:
         raise ValueError("m must be >= 0")
     if kind not in ("canonical", "physical"):
@@ -500,6 +506,7 @@ def variance_diagonal_table(m_max: int, extra: int = 200_000,
     ``2**15``, with their certified tail brackets beyond ``j = m_max + max(extra, 2)``.
     Every value equals a row-by-row evaluation bit for bit.
     """
+    m_max, extra = _index("m_max", m_max), _index("extra", extra)
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
     if extra < 0:
@@ -584,6 +591,7 @@ def delta_matrix_element(m: int, n: int, radius: float, angle: float) -> complex
     ``2*exp(-R**2)``.  Non-finite arguments raise ``ValueError``, and so does
     a radius where the amplitude times the Laguerre value is not finite.
     """
+    m, n = _index("m", m), _index("n", n)
     if m < 0 or n < 0:
         raise ValueError("indices must be non-negative")
     if not 0.0 <= radius < math.inf:

@@ -5,7 +5,8 @@ the halves give its value and ``|whole - halves|`` its error estimate.  Each rou
 one call of the integrand on all its nodes, keeps the pieces whose estimate is at most
 the unspent budget over the open pieces and bisects the rest, so the kept estimates sum
 to at most ``tol``.  Past ``_MAX_ROUNDS`` rounds or ``_MAX_PIECES`` pieces, or on a
-non-finite integrand, it raises :class:`~wigosc.errors.QuadratureNotConverged`.
+non-finite integrand, it raises :class:`~wigosc.errors.QuadratureNotConverged`; a ``tol``
+that is not finite and > 0 raises ``ValueError``.
 ``integrate_angular`` has no caller in the package; it remains for the benchmark.
 """
 
@@ -25,12 +26,18 @@ _X, _W = np.polynomial.legendre.leggauss(16)
 _NODES = np.concatenate([_X, (_X - 1.0) / 2.0, (_X + 1.0) / 2.0])  # whole, left, right half
 
 
+def _check_tol(tol: float) -> None:
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+
+
 def integrate(g: Callable[[np.ndarray], np.ndarray], edges: Sequence[float],
               tol: float = 1e-10) -> float:
     """Integral of ``g`` over the pieces ``edges`` cut, to ``tol``.
 
     ``g`` maps a 2-d array of nodes, one piece per row, rows in increasing order, to its values.
     """
+    _check_tol(tol)
     lo, hi = np.asarray(edges[:-1], dtype=float), np.asarray(edges[1:], dtype=float)
     kept, spent = [], 0.0
     for _ in range(_MAX_ROUNDS):

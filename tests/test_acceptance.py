@@ -6,6 +6,7 @@ full size with pinned seeds, so this module dominates the suite's runtime.
 """
 
 import math
+import os
 import time
 
 import numpy as np
@@ -228,8 +229,10 @@ def test_criterion_9_determinism(tmp_path, monkeypatch):
     args = ["validate", "--trajectories", "8192", "--tmax", "20",
             "--dt-sim", "0.01", "--seed", "424242"]
     payloads = []
-    for label, threads in (("a", "1"), ("b", "4"), ("c", "1")):
-        monkeypatch.setenv("WIGOSC_THREADS", threads)
+    # the ensemble runs one worker per CPU in the affinity mask
+    for label, threads in (("a", 1), ("b", 4), ("c", 1)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, k=threads: set(range(k)),
+                            raising=False)
         path = tmp_path / f"{label}.txt"
         rc = cli_main(args + ["--out", str(path)])
         assert rc == 0

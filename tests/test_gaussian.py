@@ -106,6 +106,29 @@ def test_only_gaussian_calls_the_propagator():
     assert callers == {"gaussian"}
 
 
+def _environment_reads(tree):
+    """Lines of every ``os.environ``/``os.getenv`` use or import in ``tree``."""
+    lines = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in ("environ", "environb", "getenv")
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            lines.append(node.lineno)
+        if isinstance(node, ast.ImportFrom) and node.module == "os" and any(
+                a.name in ("environ", "environb", "getenv") for a in node.names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_module_reads_the_environment():
+    # the package's only settings are its arguments: the worker-thread count
+    # comes from the CPU affinity mask, not from a variable
+    reads = {path.name: lines for path in Path(wigosc.__file__).parent.glob("*.py")
+             if (lines := _environment_reads(ast.parse(path.read_text())))}
+    assert reads == {}
+    probe = "import os\nos.environ.get('X')\nos.getenv('Y')\nfrom os import environ"
+    assert sorted(_environment_reads(ast.parse(probe))) == [2, 3, 4]
+
+
 class TestClosedForms:
     """The closed-form 2x2 algebra against exact rational arithmetic and ``np.linalg``."""
 

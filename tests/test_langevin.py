@@ -4,10 +4,13 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import bonferroni_threshold_scipy, run_block_columns, scheme_moments
 from wigosc import langevin
@@ -34,7 +37,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("seed", 1.5), ("seed", 1.0), ("n_steps", 10.0), ("n_trajectories", 2.5),
-        ("record_every", 2.0), ("threads", 1.0), ("record_every", -5)])
+        ("record_every", 2.0), ("threads", 1.0), ("record_every", -5), ("threads", -1)])
     def test_integer_fields_rejected_loudly(self, field, value):
         # a float seed must not quietly run another seed's stream, and a
         # negative stride must not quietly mean the default one
@@ -50,14 +53,20 @@ class TestConfig:
         assert (simulate_ensemble(params, plain).digest()
                 == simulate_ensemble(params, numpy_ints).digest())
 
-    @pytest.mark.parametrize("raw", ["two", "-3", "0", "1.5", ""])
-    def test_bad_thread_environment_rejected(self, raw, monkeypatch):
-        monkeypatch.setenv("WIGOSC_THREADS", raw)
-        cfg = SdeConfig(dt=0.01, n_steps=10, n_trajectories=2, seed=1)
-        with pytest.raises(ValueError, match="WIGOSC_THREADS"):
-            simulate_ensemble(make_params(1.0, 0.1), cfg)
-        # an explicit thread count does not consult the environment
-        simulate_ensemble(make_params(1.0, 0.1), dataclasses.replace(cfg, threads=2))
+    @pytest.mark.parametrize("threads, cpus, workers", [(0, 3, 3), (0, 1, 1), (2, 3, 2)])
+    def test_default_threads_follow_the_usable_cpus(self, monkeypatch, threads, cpus, workers):
+        # threads = 0 takes one worker per CPU in the affinity mask, as taskset sets it
+        seen = []
+
+        def pool(max_workers):
+            seen.append(max_workers)
+            return ThreadPoolExecutor(max_workers=max_workers)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(langevin, "ThreadPoolExecutor", pool)
+        cfg = SdeConfig(dt=0.01, n_steps=10, n_trajectories=2, seed=1, threads=threads)
+        simulate_ensemble(make_params(1.0, 0.1), cfg)
+        assert seen == [workers]
 
     def test_sequence_start_rejected(self):
         cfg = SdeConfig(dt=0.01, n_steps=10, n_trajectories=2, seed=1)
@@ -292,6 +301,20 @@ class TestDeterminism:
         r2 = simulate_ensemble(params, SdeConfig(threads=1, **base))
         r4 = simulate_ensemble(params, SdeConfig(threads=4, **base))
         assert r1.digest() == r2.digest() == r4.digest()
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 63 - 1), n=st.integers(2, 600), steps=st.integers(1, 60),
+           record_every=st.sampled_from([0, 1, 7]), threads=st.sampled_from([0, 1, 3]))
+    def test_any_config_gives_finite_moments_at_any_thread_count(self, seed, n, steps,
+                                                                 record_every, threads):
+        params = make_params(5.0, 0.25)
+        cfg = SdeConfig(dt=0.01, n_steps=steps, n_trajectories=n, seed=seed,
+                        record_every=record_every, threads=threads)
+        report = simulate_ensemble(params, cfg)
+        for moment in (report.mean, report.cov, report.se_mean, report.se_cov):
+            assert np.isfinite(moment).all()
+        one = simulate_ensemble(params, dataclasses.replace(cfg, threads=1))
+        assert report.digest() == one.digest()
 
     def test_seed_changes_stream(self):
         params = ModelParams(mass=1.0, omega=1.0, beta=0.25, theta=1.5)

@@ -321,6 +321,16 @@ class TestSpectrum:
         assume(not 0.0 < np.max(np.abs(a)) < np.finfo(float).tiny)
         _assert_certified(a)
 
+    @pytest.mark.parametrize("n", [150, 151, 1000])
+    @pytest.mark.parametrize("beta_t", [None, 2.0], ids=["canonical", "bt2"])
+    def test_spectrum_is_symmetric_about_zero(self, n, beta_t):
+        # odd offsets are real and even ones imaginary, so with the parity
+        # P = diag((-1)**m), P conj(A) P = -A; conj(A) = A.T has A's spectrum,
+        # so the eigenvalues come in +- pairs (with a 0 for odd n)
+        mat = canonical_phase_matrix(n) if beta_t is None else physical_phase_matrix(n, beta_t)
+        spec = spectrum(mat)
+        assert np.max(np.abs(spec.eigenvalues + spec.eigenvalues[::-1])) <= 2.0 * spec.residual
+
 
 def _assert_certified(a):
     """Each eigenvalue of ``spectrum`` is within its certificate of the ``eigh`` oracle."""
@@ -635,6 +645,32 @@ class TestKernelsMatchGatheredForms:
         with mpmath.workdps(40):
             exact = float(mpmath.loggamma(mpmath.mpf(j + 1) / 2) - mpmath.loggamma(mpmath.mpf(j + 2) / 2))
         assert abs(_log_c(j, j + 1)[0] - exact) <= 4.0 * np.finfo(float).eps * abs(exact)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: g_coefficient(1.5, 2), "m"),  # used to return 0.948
+    (lambda: g_coefficient(1, 2.0), "n"),
+    (lambda: g_matrix(4.5), "n_max"),  # used to raise IndexError
+    (lambda: canonical_phase_matrix(10.0), "n_max"),  # used to raise IndexError
+    (lambda: physical_phase_matrix(10.0, 1.0), "n_max"),
+    (lambda: angle_operator_matrix(phase_fourier, 4.5), "n_max"),
+    (lambda: phase_fourier(1.5), "k"),
+    (lambda: phase_variance_diagonal(1.5), "m"),  # used to raise a bare TypeError
+    (lambda: variance_diagonal_table(3.5), "m_max"),
+    (lambda: variance_diagonal_table(3, extra=2.5), "extra"),
+    (lambda: delta_matrix_element(1.5, 2, 1.0, 0.0), "m"),
+    (lambda: delta_matrix_element(1, "2", 1.0, 0.0), "n"),
+], ids=["g_coefficient-m", "g_coefficient-n", "g_matrix", "canonical", "physical", "angle_operator",
+        "phase_fourier", "row_variance", "table-m_max", "table-extra", "delta-m", "delta-n"])
+def test_non_integer_index_rejected(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        call()
+
+
+def test_numpy_integer_indices_accepted():
+    assert g_coefficient(np.int64(3), np.uint8(7)) == g_coefficient(3, 7)
+    np.testing.assert_array_equal(canonical_phase_matrix(np.int32(5)).values,
+                                  canonical_phase_matrix(5).values)
 
 
 class TestDeltaMatrixElement:

@@ -91,6 +91,14 @@ def test_nan_integrand_raises():
         integrate(lambda x: np.where(x > 0.5, np.nan, x), (0.0, 1.0), 1e-10)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_tol_must_be_finite_and_positive(tol):
+    # 0, -1 and nan used to bisect for up to 0.3 s before raising; inf returned
+    # the first round's estimate
+    with pytest.raises(ValueError, match="tol"):
+        integrate(np.cos, (0.0, 1.0), tol)
+
+
 def test_integrate_angular_takes_float_functions():
     assert abs(integrate_angular(math.cos)) <= 1e-10
     assert integrate_angular(lambda phi: phi * phi) == pytest.approx(2.0 * math.pi ** 3 / 3.0,
