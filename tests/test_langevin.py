@@ -53,6 +53,15 @@ class TestConfig:
         assert (simulate_ensemble(params, plain).digest()
                 == simulate_ensemble(params, numpy_ints).digest())
 
+    @pytest.mark.parametrize("raw", ["two", "-3", "0", "1.5", ""])
+    def test_bad_thread_environment_rejected(self, raw):
+        # a thread count written as text, as a shell variable holds it, is
+        # rejected rather than parsed, "0" too; an integer count still runs
+        cfg = SdeConfig(dt=0.01, n_steps=10, n_trajectories=2, seed=1)
+        with pytest.raises(ValueError, match="threads"):
+            dataclasses.replace(cfg, threads=raw)
+        simulate_ensemble(make_params(1.0, 0.1), dataclasses.replace(cfg, threads=2))
+
     @pytest.mark.parametrize("threads, cpus, workers", [(0, 3, 3), (0, 1, 1), (2, 3, 2)])
     def test_default_threads_follow_the_usable_cpus(self, monkeypatch, threads, cpus, workers):
         # threads = 0 takes one worker per CPU in the affinity mask, as taskset sets it
