@@ -1,4 +1,24 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one contract for scalar arguments.
+
+Every integer argument (an index, a size, a count, a seed) goes through
+:func:`_check_int`: ``operator.index`` accepts Python and numpy integers and
+rejects a float such as ``1.5`` or ``2.0``, then a lower bound applies.  Every
+real argument (a time, ``beta_t``, a tolerance, a radius) goes through
+:func:`_check_real`: it must be a number, never text, finite and ``>= 0`` or
+``> 0``; only ``beta_t`` may be ``+inf``, its late-time limit.  The value is
+compared, not converted.  Both raise ``ValueError`` naming the argument and
+giving its value.  :class:`~wigosc.model.ModelParams` keeps its own
+:class:`NonPositiveParameter`.
+"""
+
+import math
+import operator
+import sys
+
+import numpy as np
+
+_REALS = (float, int, np.floating, np.integer)
+_FLOAT_MAX = sys.float_info.max
 
 
 class WigoscError(Exception):
@@ -41,3 +61,30 @@ class ConvergenceFailure(WigoscError):
 
 class SizeTooLarge(WigoscError):
     """Requested matrix size exceeds what this implementation supports."""
+
+
+def _check_int(name: str, value, low: int | None = 0) -> int:
+    """``value`` as an ``int`` by ``operator.index``, at least ``low`` unless that is ``None``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value!r}")
+    return value
+
+
+def _check_real(name: str, value, positive: bool = False, inf: bool = False):
+    """``value`` unchanged if it is a real number, ``> 0`` or ``>= 0``, and finite unless ``inf``.
+
+    A real number is a Python or numpy integer or float, or a 0-d numpy array of one.
+    An integer past the float range counts as infinite.
+    """
+    if not (isinstance(value, _REALS) or isinstance(value, np.ndarray)
+            and value.shape == () and value.dtype.kind in "iuf"):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    finite = value <= _FLOAT_MAX if isinstance(value, int) else value < math.inf
+    if not ((value > 0 if positive else value >= 0) and (finite or inf and value == math.inf)):
+        rule = "in [0, inf]" if inf else f"finite and {'>' if positive else '>='} 0"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+    return value

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RequiresFriction
-from .model import DerivedParams, _check_time, _flow_terms
+from .errors import RequiresFriction, _check_real
+from .model import DerivedParams, _flow_terms
 
 __all__ = [
     "Gaussian2D",
@@ -128,10 +128,7 @@ class Gaussian2D:
         1 (the Jacobian is absorbed by the amplitude).  ``beta`` and ``t``
         must be finite and ``>= 0``.
         """
-        _check_time(t)
-        if not 0.0 <= beta < math.inf:
-            raise ValueError(f"beta must be finite and >= 0, got {beta!r}")
-        s = math.exp(-beta * t)
+        s = math.exp(-_check_real("beta", beta) * _check_real("time t", t))
         (m0, m1), ((a, b), (_, d)) = self.mean.tolist(), self.cov.tolist()
         return Gaussian2D(np.array([s * m0, m1]), np.array([[(s * a) * s, s * b], [b * s, d]]))
 
@@ -177,8 +174,7 @@ def _damped_sin2_integral(c: float, T: float) -> float:
 
 
 def _noise_terms(d: DerivedParams, t: float) -> tuple[float, float, float]:
-    """Entries ``(q_aa, q_ab, q_bb)`` of :func:`noise_form`, as floats."""
-    _check_time(t)
+    """Entries ``(q_aa, q_ab, q_bb)`` of :func:`noise_form`, as floats; ``t`` is not checked."""
     od, n = d.omega_damped, d.noise_number
     c, T = d.beta / od, od * t
     g, e, s = c / 2.0, math.exp(-c * T), math.sin(T)
@@ -200,7 +196,7 @@ def noise_form(d: DerivedParams, t: float) -> np.ndarray:
     ``Y*Y' = (Y**2/2)'`` and ``Y'**2 = (Y*Y')' + 2g*Y*Y' + (1 + g*g)*Y**2``, so
     only ``int_0^T Y**2`` is integrated (``T = omega_damped*t``).
     """
-    q_aa, q_ab, q_bb = _noise_terms(d, t)
+    q_aa, q_ab, q_bb = _noise_terms(d, _check_real("time t", t))
     return _readonly(np.array([[q_aa, q_ab], [q_ab, q_bb]]))
 
 
@@ -231,6 +227,7 @@ def propagator(d: DerivedParams, t: float) -> PropagatorKernel:
     the added covariance is ``[[eps^2*Q_bb, Q_ab], [Q_ab, Q_aa/eps^2]]``.
     Nothing grows like ``exp(beta*t)``, so the kernel is finite at every ``t``.
     """
+    _check_real("time t", t)
     (f00, f01, f10, f11), (q_aa, q_ab, q_bb) = _flow_terms(d, t), _noise_terms(d, t)
     e2 = d.eps ** 2
     return PropagatorKernel(flow=_readonly(np.array([[f00, f01], [f10, f11]])),
@@ -283,7 +280,7 @@ def thermal_state(d: DerivedParams, t: float) -> Gaussian2D:
     ``D/2``.  Requires friction: without it the oscillator never thermalises.
     Past ``beta*t`` ~355 no float holds the x variance, and this raises ``ValueError``.
     """
-    _check_time(t)
+    _check_real("time t", t)
     if d.beta == 0.0:
         raise RequiresFriction("thermalisation requires beta > 0")
     half_d = d.temperature_number / 2.0

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import operator
 import os
 import statistics
 from concurrent.futures import ThreadPoolExecutor
@@ -55,7 +54,7 @@ from time import perf_counter
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import ParameterMismatch, StepTooLarge
+from .errors import ParameterMismatch, StepTooLarge, _check_int, _check_real
 from .gaussian import Gaussian2D, _push, ground_state
 from .model import DerivedParams, ModelParams, PhasePoint
 
@@ -93,23 +92,13 @@ class SdeConfig:
     threads: int = 0
 
     def __post_init__(self):
-        if self.dt <= 0 or not math.isfinite(self.dt):
-            raise ValueError(f"dt must be positive, got {self.dt!r}")
-        for name in ("n_steps", "n_trajectories", "seed", "record_every", "threads"):
-            try:
-                operator.index(getattr(self, name))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
-        if self.n_steps < 1 or self.n_trajectories < 1:
-            raise ValueError("n_steps and n_trajectories must be >= 1")
-        if not 0 <= self.seed < 2 ** 63:
+        _check_real("dt", self.dt, positive=True)
+        for name, low in (("n_steps", 1), ("n_trajectories", 1), ("record_every", 0), ("threads", 0)):
+            _check_int(name, getattr(self, name), low)
+        if _check_int("seed", self.seed) >= 2 ** 63:
             # numpy turns a Philox key word >= 2**63 into float64, which merges
             # neighbouring seeds or overflows
             raise ValueError(f"seed must be an integer in [0, 2**63), got {self.seed!r}")
-        if self.record_every < 0:
-            raise ValueError(f"record_every must be >= 0, got {self.record_every!r}")
-        if self.threads < 0:
-            raise ValueError(f"threads must be >= 0, got {self.threads!r}")
 
     def record_indices(self) -> np.ndarray:
         stride = self.record_every if self.record_every > 0 else max(1, self.n_steps // 25)
@@ -241,6 +230,25 @@ def _run_group(group: int, cfg: SdeConfig, mean0: np.ndarray, root: np.ndarray |
     return sums, noise_s, step_s
 
 
+def _moments(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """``(nout, 5)`` table of ``mean`` ``(nout, 2)`` and ``cov`` ``(nout, 2, 2)``, in ``_COMPONENTS`` order."""
+    return np.column_stack([mean, cov[:, 0, 0], cov[:, 0, 1], cov[:, 1, 1]])
+
+
+def _standard_errors(cov: np.ndarray, n: int) -> np.ndarray:
+    """``(nout, 5)`` standard errors of the :func:`_moments` of ``n`` samples with covariance ``cov``.
+
+    Gaussian theory: ``sqrt(var/n)`` for a mean, ``var*sqrt(2/(n-1))`` for a
+    variance and ``sqrt((var_x*var_y + cov_xy**2)/(n-1))`` for the covariance.
+    """
+    var_x, cov_xy, var_y = cov[:, 0, 0], cov[:, 0, 1], cov[:, 1, 1]
+    dof = max(n - 1, 1)
+    return np.column_stack([np.sqrt(np.abs(var_x) / n), np.sqrt(np.abs(var_y) / n),
+                            np.abs(var_x) * math.sqrt(2.0 / dof),
+                            np.sqrt(np.abs(var_x * var_y + cov_xy ** 2) / dof),
+                            np.abs(var_y) * math.sqrt(2.0 / dof)])
+
+
 def simulate_ensemble(params: ModelParams, cfg: SdeConfig,
                       initial=None) -> MomentReport:
     """Integrate the ensemble and reduce it to per-time moments.
@@ -284,19 +292,13 @@ def simulate_ensemble(params: ModelParams, cfg: SdeConfig,
     cov[:, 0, 1] = cov[:, 1, 0] = (exy - mean[:, 0] * mean[:, 1]) * bessel
     cov[:, 1, 1] = (eyy - mean[:, 1] ** 2) * bessel
 
-    se_mean = np.sqrt(np.abs(np.stack([cov[:, 0, 0], cov[:, 1, 1]], axis=1)) / n)
-    se_cov = np.empty_like(cov)
-    se_cov[:, 0, 0] = np.abs(cov[:, 0, 0]) * math.sqrt(2.0 / max(n - 1, 1))
-    se_cov[:, 1, 1] = np.abs(cov[:, 1, 1]) * math.sqrt(2.0 / max(n - 1, 1))
-    cross = np.sqrt(np.abs(cov[:, 0, 0] * cov[:, 1, 1] + cov[:, 0, 1] ** 2) / max(n - 1, 1))
-    se_cov[:, 0, 1] = se_cov[:, 1, 0] = cross
-
+    se = _standard_errors(cov, n)
     return MomentReport(
         times=rec_idx * cfg.dt,
         mean=mean,
         cov=cov,
-        se_mean=se_mean,
-        se_cov=se_cov,
+        se_mean=se[:, :2],
+        se_cov=se[:, [2, 3, 3, 4]].reshape(-1, 2, 2),
         n_trajectories=n,
         params=params,
         config=cfg,
@@ -357,29 +359,14 @@ def compare_to_propagator(report: MomentReport, d: DerivedParams,
     n = report.n_trajectories
     if n < 2:
         raise ValueError(f"comparison needs at least 2 trajectories, got {n}")
-    mean0 = report.initial_mean
-    cov0 = report.initial_cov
-    omega_dt = q.omega * report.config.dt
-    nout = len(report.times)
-    z = np.zeros((nout, 5))
-    for i, t in enumerate(report.times):
-        mean_a, cov_a = _push(mean0, cov0, d, float(t))
-        se_mx = math.sqrt(max(cov_a[0, 0], 0.0) / n)
-        se_my = math.sqrt(max(cov_a[1, 1], 0.0) / n)
-        se_vx = cov_a[0, 0] * math.sqrt(2.0 / (n - 1.0))
-        se_vy = cov_a[1, 1] * math.sqrt(2.0 / (n - 1.0))
-        se_xy = math.sqrt((cov_a[0, 0] * cov_a[1, 1] + cov_a[0, 1] ** 2) / (n - 1.0))
-        diffs = (report.mean[i, 0] - mean_a[0], report.mean[i, 1] - mean_a[1],
-                 report.cov[i, 0, 0] - cov_a[0, 0], report.cov[i, 0, 1] - cov_a[0, 1],
-                 report.cov[i, 1, 1] - cov_a[1, 1])
-        ses = (se_mx, se_my, se_vx, se_xy, se_vy)
-        refs = (abs(mean_a[0]), abs(mean_a[1]), cov_a[0, 0], abs(cov_a[0, 1]), cov_a[1, 1])
-        det_tol = 50.0 * omega_dt ** 2 * (1.0 + q.omega * float(t))
-        for k, (diff, se, ref) in enumerate(zip(diffs, ses, refs)):
-            if se == 0.0:
-                z[i, k] = 0.0 if abs(diff) <= det_tol * (1.0 + ref) else math.inf
-            else:
-                z[i, k] = diff / se
+    mean_a, cov_a = map(np.array, zip(*(_push(report.initial_mean, report.initial_cov, d, float(t))
+                                        for t in report.times)))
+    predicted = _moments(mean_a, cov_a)
+    diff = _moments(report.mean, report.cov) - predicted
+    se = _standard_errors(cov_a, n)
+    det_tol = 50.0 * (q.omega * report.config.dt) ** 2 * (1.0 + q.omega * report.times)
+    close = np.abs(diff) <= det_tol[:, None] * (1.0 + np.abs(predicted))
+    z = np.divide(diff, se, out=np.where(close, 0.0, math.inf), where=se != 0.0)
     n_comp = int(np.isfinite(z).sum())
     threshold = bonferroni_threshold(max(n_comp, 1))
     flat = np.abs(z)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveParameter, OverdampedUnsupported
+from .errors import NonPositiveParameter, OverdampedUnsupported, _check_real
 
 __all__ = [
     "ModelParams",
@@ -175,15 +175,8 @@ class PhasePoint:
         return -math.pi if a == math.pi else a
 
 
-def _check_time(t: float) -> None:
-    """Reject a time that is negative, infinite or NaN (which ``t < 0`` lets through)."""
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"time must be finite and >= 0, got {t!r}")
-
-
 def _flow_terms(d: DerivedParams, tau: float) -> tuple[float, float, float, float]:
-    """Entries ``(f00, f01, f10, f11)`` of :func:`classical_flow`, as floats."""
-    _check_time(tau)
+    """Entries ``(f00, f01, f10, f11)`` of :func:`classical_flow`, as floats; ``tau`` is not checked."""
     od = d.omega_damped
     g = d.beta / (2.0 * od)
     c, s = math.cos(od * tau), math.sin(od * tau)
@@ -204,7 +197,7 @@ def classical_flow(d: DerivedParams, tau: float) -> np.ndarray:
     rotation when ``beta = 0`` and to the identity at ``tau = 0``.  Its
     determinant is ``exp(-beta*tau)``; it serves every window of length ``tau``.
     """
-    f00, f01, f10, f11 = _flow_terms(d, tau)
+    f00, f01, f10, f11 = _flow_terms(d, _check_real("time tau", tau))
     mat = np.array([[f00, f01], [f10, f11]])
     mat.setflags(write=False)
     return mat

@@ -16,10 +16,10 @@ from typing import Callable
 import numpy as np
 import scipy
 
-from .errors import QuadratureNotConverged, RequiresFriction
+from .errors import QuadratureNotConverged, RequiresFriction, _check_real
 from .gaussian import (_DEGENERATE_TOL, Gaussian2D, _det, _inverse, _push, evolve,
                        ground_state, state_overlap)
-from .model import DerivedParams, _check_time
+from .model import DerivedParams
 from .quadrature import integrate
 
 __all__ = [
@@ -50,7 +50,7 @@ def longtime_survival(d: DerivedParams, t: float) -> float:
     Uses the thermalised covariance, so it is meaningful only once memory of
     the initial state is damped out; it does not equal 1 at ``t = 0``.
     """
-    _check_time(t)
+    _check_real("time t", t)
     if d.beta == 0.0:
         raise RequiresFriction("the long-time survival form requires beta > 0")
     big_d = d.temperature_number
@@ -69,7 +69,7 @@ def nofriction_survival(d: DerivedParams, t: float) -> float:
     Valid for all ``t``; the oscillator heats without bound, so this decays
     like ``1/(w*t)`` instead of exponentially.
     """
-    _check_time(t)
+    _check_real("time t", t)
     no = d.noise_number_free
     wt = d.omega * t
     return 1.0 / math.sqrt((1.0 + no * wt / 2.0) ** 2
@@ -178,8 +178,10 @@ def _angle_rule(f: Callable[[np.ndarray], np.ndarray], beta_t: float, tol: float
 def _mean_angle(mean: np.ndarray, cov: np.ndarray, beta_t: float, tol: float) -> float:
     """Mean canonical angle of the physical-frame Gaussian ``(mean, cov)`` at ``beta_t``.
 
-    Closed form for a centred state, else the physical-angle integral to ``tol``.
+    Closed form for a centred state, else the physical-angle integral to ``tol``;
+    ``tol`` is checked for both.
     """
+    _check_real("tol", tol, positive=True)
     if not mean.any():  # centred
         return _centred_mean_angle(cov, math.exp(-beta_t))
     profile, norm = _angle_profile(mean, cov)
@@ -218,7 +220,7 @@ def thermal_angle_expectation(phi_func: Callable[[np.ndarray], np.ndarray],
     ``+-pi``) as ``beta*t`` grows.  ``phi_func`` is called on ndarrays, ufunc-style
     (``np.cos``, not ``math.cos``); a scalar return, as from ``lambda phi: 1.0``, is broadcast.
     """
-    _check_time(t)
+    _check_real("time t", t)
     return _angle_rule(phi_func, d.beta * t, tol) / (2.0 * math.pi)
 
 
@@ -238,10 +240,8 @@ def energy_generating_function(d: DerivedParams, b_param: float, t: float) -> fl
 
     which cannot overflow; for ``K`` beyond ~745 it underflows to 0.
     """
-    _check_time(t)
-    if not 0.0 <= b_param < math.inf:
-        raise ValueError(f"b_param must be finite and >= 0, got {b_param!r}")
-    half_hwb = d.params.hbar * d.omega * b_param / 2.0
+    _check_real("time t", t)
+    half_hwb = d.params.hbar * d.omega * _check_real("b_param", b_param) / 2.0
     k = half_hwb * math.exp(-d.beta * t)
     tanhc = math.tanh(k) / k if k > 0.0 else 1.0
     decay = math.exp(-k)

@@ -26,15 +26,13 @@ subpackage this module loads.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 import scipy
 
-from .errors import ConvergenceFailure, SizeTooLarge
-from .quadrature import _check_tol
+from .errors import ConvergenceFailure, SizeTooLarge, _check_int, _check_real
 
 __all__ = [
     "GMatrix",
@@ -74,29 +72,6 @@ _BRACKET_BLOCK = 2 ** 15  # rows per tail-bracket call of the variance table
 _EIG_BOUND_FACTOR = 4
 
 
-def _check_beta_t(beta_t: float) -> float:
-    """``beta_t`` as a float; ``+inf`` (the late-time limit) passes, NaN and negatives raise."""
-    beta_t = float(beta_t)
-    if not beta_t >= 0.0:
-        raise ValueError(f"beta_t must be >= 0, got {beta_t!r}")
-    return beta_t
-
-
-def _index(name: str, value) -> int:
-    """``value`` as an ``int`` by ``operator.index``; a float or other non-integer raises."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _check_size(n_max: int) -> None:
-    if _index("n_max", n_max) < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max!r}")
-    if n_max > _MAX_MATRIX:
-        raise SizeTooLarge(f"n_max={n_max} exceeds the supported maximum {_MAX_MATRIX}")
-
-
 def _toeplitz(c: np.ndarray) -> np.ndarray:
     """Read-only ``(n, n)`` view ``T[m, n] = c[|n - m|]`` of a length-n vector; nothing is gathered."""
     n_max = c.size
@@ -124,9 +99,7 @@ def g_coefficient(m: int, n: int) -> float:
     The diagonal is exactly 1 and entries tend to 1 deep in the table at
     fixed offset.
     """
-    m, n = _index("m", m), _index("n", n)
-    if m < 0 or n < 0:
-        raise ValueError("indices must be non-negative")
+    m, n = _check_int("m", m), _check_int("n", n)
     if m == n:
         return 1.0
     nl, ng = (m, n) if m < n else (n, m)
@@ -139,7 +112,9 @@ def g_coefficient(m: int, n: int) -> float:
 
 def g_matrix(n_max: int) -> GMatrix:
     """Dense ``n_max x n_max`` coefficient table, summed as in :func:`g_coefficient`."""
-    _check_size(n_max)
+    n_max = _check_int("n_max", n_max, 1)
+    if n_max > _MAX_MATRIX:
+        raise SizeTooLarge(f"n_max={n_max} exceeds the supported maximum {_MAX_MATRIX}")
     idx = np.arange(n_max)
     # O(n_max) distinct log-Gammas: row s of lg_half is gammaln(j/2 + s), s = 1/2
     # for even nl and 1 for odd.  On and above the diagonal nl is the row index,
@@ -164,7 +139,7 @@ def phase_fourier(k: int) -> complex:
     ``c_k = (1/2pi) int phi*exp(i*k*phi) dphi = -i*(-1)**k / k`` for
     ``k != 0`` and ``c_0 = 0``.
     """
-    k = _index("k", k)
+    k = _check_int("k", k, low=None)
     if k == 0:
         return 0.0 + 0.0j
     sign = -1.0 if k % 2 else 1.0
@@ -224,8 +199,9 @@ def attenuation(offset: int | np.ndarray, beta_t: float):
 
     ``1 - tanh(beta_t/2)**(|offset|/2)`` for even offsets, 1 for odd ones;
     equal to 1 at ``beta_t = 0`` and stepping to 0 (even) / 1 (odd) as
-    ``beta_t -> inf``.
+    ``beta_t -> inf``.  ``beta_t`` must be ``>= 0``; ``inf`` is the late-time limit.
     """
+    _check_real("beta_t", beta_t, inf=True)
     k = np.abs(np.asarray(offset)).ravel()
     out = np.ones(k.shape)
     even = np.flatnonzero(((k & 1) == 0) & (k != 0))
@@ -240,8 +216,6 @@ def physical_phase_matrix(n_max: int, beta_t: float) -> HermitianMatrix:
     the even off-diagonals die away and the spectrum migrates toward
     ``+-pi/2``.
     """
-    _check_size(n_max)
-    beta_t = _check_beta_t(beta_t)
     gbar = g_matrix(n_max).values * _toeplitz(attenuation(np.arange(n_max), beta_t))
     return _angle_matrix(gbar, phase_fourier)
 
@@ -436,13 +410,11 @@ def phase_variance_diagonal(m: int, kind: str = "canonical", beta_t: float = 0.0
     below ``tol`` (or 8 million terms are summed) and closed with the bracket
     midpoint; the achieved half-width is reported.
     """
-    m = _index("m", m)
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    m = _check_int("m", m)
     if kind not in ("canonical", "physical"):
         raise ValueError(f"kind must be 'canonical' or 'physical', got {kind!r}")
-    _check_tol(tol)
-    bt = None if kind == "canonical" else _check_beta_t(beta_t)
+    _check_real("tol", tol, positive=True)
+    bt = None if kind == "canonical" else _check_real("beta_t", beta_t, inf=True)
     c_m = np.exp(_log_c(m, m + 1))
     bracket = lambda span: [float(b[0]) for b in _tail_bracket(np.array([m]), m + span, c_m, bt)]
 
@@ -506,13 +478,9 @@ def variance_diagonal_table(m_max: int, extra: int = 200_000,
     ``2**15``, with their certified tail brackets beyond ``j = m_max + max(extra, 2)``.
     Every value equals a row-by-row evaluation bit for bit.
     """
-    m_max, extra = _index("m_max", m_max), _index("extra", extra)
-    if m_max < 0:
-        raise ValueError("m_max must be >= 0")
-    if extra < 0:
-        raise ValueError(f"extra must be >= 0, got {extra!r}")
+    m_max, extra = _check_int("m_max", m_max), _check_int("extra", extra)
     if beta_t is not None:
-        beta_t = _check_beta_t(beta_t)
+        _check_real("beta_t", beta_t, inf=True)
     j_top = m_max + max(extra, 2)
     c = np.exp(_log_c(0, j_top + 1))
     inv_c = 1.0 / c
@@ -559,10 +527,8 @@ def thermal_phase_variance(temperature_number: float, tol: float = 1e-10) -> Var
     most 400k rows); the returned bound combines that remainder with the
     per-row tail certificates.
     """
-    big_d = float(temperature_number)
-    if not 0.0 < big_d < math.inf:
-        raise ValueError(f"temperature_number must be finite and > 0, got {big_d!r}")
-    _check_tol(tol)
+    big_d = float(_check_real("temperature_number", temperature_number, positive=True))
+    _check_real("tol", tol, positive=True)
     ratio = (big_d - 1.0) / (big_d + 1.0)
     if ratio == 0.0:
         n_terms = 1
@@ -591,11 +557,8 @@ def delta_matrix_element(m: int, n: int, radius: float, angle: float) -> complex
     ``2*exp(-R**2)``.  Non-finite arguments raise ``ValueError``, and so does
     a radius where the amplitude times the Laguerre value is not finite.
     """
-    m, n = _index("m", m), _index("n", n)
-    if m < 0 or n < 0:
-        raise ValueError("indices must be non-negative")
-    if not 0.0 <= radius < math.inf:
-        raise ValueError(f"radius must be finite and >= 0, got {radius!r}")
+    m, n = _check_int("m", m), _check_int("n", n)
+    _check_real("radius", radius)
     if not math.isfinite(angle):
         raise ValueError(f"angle must be finite, got {angle!r}")
     k = abs(m - n)

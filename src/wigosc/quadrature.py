@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import QuadratureNotConverged
+from .errors import QuadratureNotConverged, _check_real
 
 __all__ = ["integrate", "integrate_angular"]
 
@@ -26,18 +26,13 @@ _X, _W = np.polynomial.legendre.leggauss(16)
 _NODES = np.concatenate([_X, (_X - 1.0) / 2.0, (_X + 1.0) / 2.0])  # whole, left, right half
 
 
-def _check_tol(tol: float) -> None:
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-
-
 def integrate(g: Callable[[np.ndarray], np.ndarray], edges: Sequence[float],
               tol: float = 1e-10) -> float:
     """Integral of ``g`` over the pieces ``edges`` cut, to ``tol``.
 
     ``g`` maps a 2-d array of nodes, one piece per row, rows in increasing order, to its values.
     """
-    _check_tol(tol)
+    _check_real("tol", tol, positive=True)
     lo, hi = np.asarray(edges[:-1], dtype=float), np.asarray(edges[1:], dtype=float)
     kept, spent = [], 0.0
     for _ in range(_MAX_ROUNDS):

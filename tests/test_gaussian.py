@@ -129,6 +129,23 @@ def test_no_module_reads_the_environment():
     assert sorted(_environment_reads(ast.parse(probe))) == [2, 3, 4]
 
 
+def _argument_checks(tree):
+    """Lines of every ``operator.index`` call and ``_check_*`` definition in ``tree``."""
+    return _calls_to(tree, "index") + [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_check")]
+
+
+def test_scalar_argument_checks_live_in_errors_only():
+    # one contract for integer and real arguments: errors._check_int and
+    # errors._check_real; no module keeps a validator of its own
+    found = {path.name: lines for path in Path(wigosc.__file__).parent.glob("*.py")
+             if (lines := _argument_checks(ast.parse(path.read_text())))}
+    assert set(found) == {"errors.py"}
+    probe = "import operator\noperator.index(3)\ndef _check_tol(tol):\n    pass"
+    assert sorted(_argument_checks(ast.parse(probe))) == [2, 3]
+
+
 class TestClosedForms:
     """The closed-form 2x2 algebra against exact rational arithmetic and ``np.linalg``."""
 

@@ -561,12 +561,38 @@ _BAD_TIME_CALLS = {
 }
 
 
-@pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
+@pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf, "1", 10 ** 400])
 @pytest.mark.parametrize("call", list(_BAD_TIME_CALLS.values()), ids=list(_BAD_TIME_CALLS))
 def test_bad_time_rejected(d_default, call, bad):
-    # a NaN time passes a plain t < 0 test, and inf t gave nan or 0.0
-    with pytest.raises(ValueError):
+    # a NaN time passes a plain t < 0 test, and inf t gave nan or 0.0; a text
+    # time raised a bare TypeError that did not name the argument, and an
+    # integer past the float range a bare OverflowError
+    with pytest.raises(ValueError, match="^(time t|b_param) must be"):
         call(d_default, bad)
+
+
+@pytest.mark.parametrize("t", [0.0, -0.0, np.float64(0.5), np.float32(0.5), np.int64(2), np.array(0.5)])
+def test_numpy_and_signed_zero_times_accepted(d_default, t):
+    # a float32 time is used as given, and the arithmetic stays in float32
+    rel = 1e-7 if isinstance(t, np.float32) else 0.0
+    assert survival_probability(d_default, t) == pytest.approx(
+        survival_probability(d_default, float(t)), rel=rel, abs=0.0)
+    assert math.isfinite(phase_expectation(None, d_default, t))
+    assert energy_generating_function(d_default, np.float64(1.0), t) > 0.0
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda d, tol: mean_angle(ground_state(), tol=tol),  # nan returned 0.0
+    lambda d, tol: phase_expectation(None, d, 1.0, tol=tol),  # -1 returned -0.194
+    lambda d, tol: mean_angle(coherent_state(1.0, 0.5), tol=tol),
+    lambda d, tol: phase_expectation(coherent_state(1.0, 0.5), d, 1.0, tol=tol),
+], ids=["centred-mean_angle", "centred-phase_expectation", "displaced-mean_angle",
+        "displaced-phase_expectation"])
+def test_angle_tol_checked_on_every_path(call, tol):
+    # the closed-form centred path used to ignore tol; the displaced one checked it
+    with pytest.raises(ValueError, match="^tol must be finite and > 0"):
+        call(derive(ModelParams.from_dimensionless(5.0, 0.25)), tol)
 
 
 class TestEnergyGeneratingFunction:

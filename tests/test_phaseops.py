@@ -466,10 +466,11 @@ class TestVarianceSeries:
         lambda bt: phase_variance_diagonal(5, kind="physical", beta_t=bt),
         lambda bt: variance_diagonal_table(5, extra=100, beta_t=bt),
         lambda bt: physical_phase_matrix(4, bt),
-    ], ids=["row", "table", "matrix"])
+        lambda bt: attenuation(2, bt),
+    ], ids=["row", "table", "matrix", "attenuation"])
     def test_bad_beta_t_rejected(self, call, beta_t):
         # a negative beta_t makes the tanh powers complex, and NaN would
-        # propagate into a silent NaN result
+        # propagate into a silent NaN result; attenuation(2, -1.0) was 1.462
         with pytest.raises(ValueError, match="beta_t"):
             call(beta_t)
 
@@ -647,24 +648,51 @@ class TestKernelsMatchGatheredForms:
         assert abs(_log_c(j, j + 1)[0] - exact) <= 4.0 * np.finfo(float).eps * abs(exact)
 
 
-@pytest.mark.parametrize("call, name", [
-    (lambda: g_coefficient(1.5, 2), "m"),  # used to return 0.948
-    (lambda: g_coefficient(1, 2.0), "n"),
-    (lambda: g_matrix(4.5), "n_max"),  # used to raise IndexError
-    (lambda: canonical_phase_matrix(10.0), "n_max"),  # used to raise IndexError
-    (lambda: physical_phase_matrix(10.0, 1.0), "n_max"),
-    (lambda: angle_operator_matrix(phase_fourier, 4.5), "n_max"),
-    (lambda: phase_fourier(1.5), "k"),
-    (lambda: phase_variance_diagonal(1.5), "m"),  # used to raise a bare TypeError
-    (lambda: variance_diagonal_table(3.5), "m_max"),
-    (lambda: variance_diagonal_table(3, extra=2.5), "extra"),
-    (lambda: delta_matrix_element(1.5, 2, 1.0, 0.0), "m"),
-    (lambda: delta_matrix_element(1, "2", 1.0, 0.0), "n"),
+@pytest.mark.parametrize("call, message", [
+    (lambda: g_coefficient(1.5, 2), "m must be an integer"),  # used to return 0.948
+    (lambda: g_coefficient(1, 2.0), "n must be an integer"),
+    (lambda: g_matrix(4.5), "n_max must be an integer"),  # used to raise IndexError
+    (lambda: canonical_phase_matrix(10.0), "n_max must be an integer"),  # used to raise IndexError
+    (lambda: physical_phase_matrix(10.0, 1.0), "n_max must be an integer"),
+    (lambda: angle_operator_matrix(phase_fourier, 4.5), "n_max must be an integer"),
+    (lambda: phase_fourier(1.5), "k must be an integer"),
+    (lambda: phase_variance_diagonal(1.5), "m must be an integer"),  # used to raise a bare TypeError
+    (lambda: variance_diagonal_table(3.5), "m_max must be an integer"),
+    (lambda: variance_diagonal_table(3, extra=2.5), "extra must be an integer"),
+    (lambda: delta_matrix_element(1.5, 2, 1.0, 0.0), "m must be an integer"),
+    (lambda: delta_matrix_element(1, "2", 1.0, 0.0), "n must be an integer"),
+    # text reals used to be parsed by float() and the call returned a value
+    (lambda: physical_phase_matrix(4, "2"), "beta_t must be a real number"),
+    (lambda: variance_diagonal_table(3, extra=10, beta_t="1"), "beta_t must be a real number"),
+    (lambda: phase_variance_diagonal(3, kind="physical", beta_t="1"), "beta_t must be a real number"),
+    (lambda: thermal_phase_variance("5"), "temperature_number must be a real number"),
+    (lambda: delta_matrix_element(1, 2, "1", 0.0), "radius must be a real number"),
 ], ids=["g_coefficient-m", "g_coefficient-n", "g_matrix", "canonical", "physical", "angle_operator",
-        "phase_fourier", "row_variance", "table-m_max", "table-extra", "delta-m", "delta-n"])
-def test_non_integer_index_rejected(call, name):
-    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        "phase_fourier", "row_variance", "table-m_max", "table-extra", "delta-m", "delta-n",
+        "physical-text-beta_t", "table-text-beta_t", "row-text-beta_t", "thermal-text-D",
+        "delta-text-radius"])
+def test_non_integer_index_rejected(call, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
         call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: g_coefficient(-1, 2), "m must be >= 0, got -1"),
+    (lambda: g_matrix(0), "n_max must be >= 1, got 0"),
+    (lambda: variance_diagonal_table(3, extra=-5), "extra must be >= 0, got -5"),
+    (lambda: delta_matrix_element(0, -2, 1.0, 0.0), "n must be >= 0, got -2"),
+], ids=["g_coefficient", "g_matrix", "table-extra", "delta"])
+def test_out_of_range_index_named_with_its_value(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+def test_numpy_real_arguments_accepted():
+    np.testing.assert_array_equal(physical_phase_matrix(5, np.float64(2.0)).values,
+                                  physical_phase_matrix(5, 2.0).values)
+    np.testing.assert_array_equal(attenuation(np.arange(6), np.float32(math.inf)),
+                                  attenuation(np.arange(6), math.inf))
+    assert thermal_phase_variance(np.float64(3.0)) == thermal_phase_variance(3.0)
 
 
 def test_numpy_integer_indices_accepted():
