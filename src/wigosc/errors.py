@@ -3,22 +3,21 @@
 Every integer argument (an index, a size, a count, a seed) goes through
 :func:`_check_int`: ``operator.index`` accepts Python and numpy integers and
 rejects a float such as ``1.5`` or ``2.0``, then a lower bound applies.  Every
-real argument (a time, ``beta_t``, a tolerance, a radius) goes through
-:func:`_check_real`: it must be a number, never text, finite and ``>= 0`` or
-``> 0``; only ``beta_t`` may be ``+inf``, its late-time limit.  The value is
-compared, not converted.  Both raise ``ValueError`` naming the argument and
-giving its value.  :class:`~wigosc.model.ModelParams` keeps its own
-:class:`NonPositiveParameter`.
+real argument (a time, ``beta_t``, a tolerance, a model parameter, a coordinate)
+goes through :func:`_check_real`: a number, never text, finite and ``>= 0`` or
+``> 0`` (a coordinate or an angle takes either sign); only ``beta_t`` may be ``+inf``,
+its late-time limit.  The value is checked, then converted: callers compute with
+the returned ``float``, so a numpy ``float32`` never sets float32 arithmetic.  Both
+raise ``ValueError`` naming the argument and giving its value;
+:class:`~wigosc.model.ModelParams` has the real check raise :class:`NonPositiveParameter`.
 """
 
 import math
 import operator
-import sys
 
 import numpy as np
 
 _REALS = (float, int, np.floating, np.integer)
-_FLOAT_MAX = sys.float_info.max
 
 
 class WigoscError(Exception):
@@ -74,17 +73,24 @@ def _check_int(name: str, value, low: int | None = 0) -> int:
     return value
 
 
-def _check_real(name: str, value, positive: bool = False, inf: bool = False):
-    """``value`` unchanged if it is a real number, ``> 0`` or ``>= 0``, and finite unless ``inf``.
+def _check_real(name: str, value, positive: bool = False, inf: bool = False,
+                signed: bool = False, error: type[Exception] = ValueError) -> float:
+    """``float(value)`` once ``value`` is a real number that is finite unless ``inf``,
+    and ``> 0`` or ``>= 0`` unless ``signed``; else ``error``, ``ValueError`` by default.
 
     A real number is a Python or numpy integer or float, or a 0-d numpy array of one.
-    An integer past the float range counts as infinite.
+    An integer past the float range is rejected, even where ``inf`` is allowed.
     """
     if not (isinstance(value, _REALS) or isinstance(value, np.ndarray)
             and value.shape == () and value.dtype.kind in "iuf"):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    finite = value <= _FLOAT_MAX if isinstance(value, int) else value < math.inf
-    if not ((value > 0 if positive else value >= 0) and (finite or inf and value == math.inf)):
-        rule = "in [0, inf]" if inf else f"finite and {'>' if positive else '>='} 0"
-        raise ValueError(f"{name} must be {rule}, got {value!r}")
-    return value
+        raise error(f"{name} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an integer past the float range
+        x = math.nan
+    if not ((math.isfinite(x) or inf and x == math.inf)
+            and (signed or (x > 0 if positive else x >= 0))):
+        rule = ("finite" if signed else "in [0, inf]" if inf
+                else f"finite and {'>' if positive else '>='} 0")
+        raise error(f"{name} must be {rule}, got {value!r}")
+    return x

@@ -128,9 +128,25 @@ class Gaussian2D:
         1 (the Jacobian is absorbed by the amplitude).  ``beta`` and ``t``
         must be finite and ``>= 0``.
         """
-        s = math.exp(-_check_real("beta", beta) * _check_real("time t", t))
-        (m0, m1), ((a, b), (_, d)) = self.mean.tolist(), self.cov.tolist()
-        return Gaussian2D(np.array([s * m0, m1]), np.array([[(s * a) * s, s * b], [b * s, d]]))
+        return _stretch_x(self.mean, self.cov, -_check_real("beta", beta) * _check_real("time t", t))
+
+
+def _stretch_x(mean: np.ndarray, cov: np.ndarray, log_s: float,
+               mean_scale: float = 1.0) -> Gaussian2D:
+    """The state ``(mean, cov)``, its x entry, row and column scaled by ``s = exp(log_s)``.
+
+    The one map between the frames: ``log_s = beta*t`` goes from physical to canonical,
+    ``-beta*t`` back; ``mean_scale``, a power of two, then scales the mean.  Python floats
+    overflow without a warning; a canonical state past a float (``beta*t`` ~340-355, by
+    ``D``) raises ``ValueError``.
+    """
+    s = math.exp(log_s) if log_s <= _LOG_MAX else math.inf
+    (m0, m1), ((a, b), (c, d)) = mean.tolist(), cov.tolist()
+    m0, a, b, c = (s * m0) * mean_scale, (s * a) * s, s * b, c * s
+    if not all(map(math.isfinite, (m0, a, b, c))):
+        raise ValueError(f"the canonical-frame state overflows a float at beta*t = {log_s!r}; "
+                         "the physical frame stays finite: use propagator(d, t).cov_physical")
+    return Gaussian2D(np.array([m0, m1 * mean_scale]), np.array([[a, b], [c, d]]))
 
 
 _GROUND = Gaussian2D(np.zeros(2), 0.5 * np.eye(2))
@@ -145,8 +161,9 @@ def ground_state() -> Gaussian2D:
 
 
 def coherent_state(x0: float, y0: float) -> Gaussian2D:
-    """Displaced minimum-uncertainty state centred at ``(x0, y0)``."""
-    return Gaussian2D(np.array([x0, y0], dtype=float), 0.5 * np.eye(2))
+    """Displaced minimum-uncertainty state centred at ``(x0, y0)``, both finite."""
+    mean = [_check_real("x0", x0, signed=True), _check_real("y0", y0, signed=True)]
+    return Gaussian2D(np.array(mean), 0.5 * np.eye(2))
 
 
 # 8-point Gauss-Legendre rule on [0, 1] as (node, weight) pairs, for short lags
@@ -227,7 +244,7 @@ def propagator(d: DerivedParams, t: float) -> PropagatorKernel:
     the added covariance is ``[[eps^2*Q_bb, Q_ab], [Q_ab, Q_aa/eps^2]]``.
     Nothing grows like ``exp(beta*t)``, so the kernel is finite at every ``t``.
     """
-    _check_real("time t", t)
+    t = _check_real("time t", t)
     (f00, f01, f10, f11), (q_aa, q_ab, q_bb) = _flow_terms(d, t), _noise_terms(d, t)
     e2 = d.eps ** 2
     return PropagatorKernel(flow=_readonly(np.array([[f00, f01], [f10, f11]])),
@@ -244,51 +261,30 @@ def _push(mean: np.ndarray, cov: np.ndarray, d: DerivedParams,
     return kern.flow @ mean, kern.flow @ cov @ kern.flow.T + kern.cov_physical
 
 
-def _canonical_overflow(beta_t: float) -> ValueError:
-    return ValueError(f"the canonical-frame state overflows a float at beta*t = {beta_t!r}; "
-                      "the physical frame stays finite: use propagator(d, t).cov_physical")
-
-
 def evolve(state: Gaussian2D, d: DerivedParams, t: float) -> Gaussian2D:
     """Push a Gaussian state from time 0 to ``t`` through the averaged dynamics.
 
-    The canonical flow and noise covariance are the physical ones with the x
-    row (and column) scaled by ``s = exp(beta*t)``.  Where the canonical state
+    The canonical state is the physical one, ``(F m0, F C0 F^T + cov_physical)``,
+    with the x entry, row and column stretched by ``exp(beta*t)``.  Where that
     overflows a float (``beta*t`` past ~340-355, by ``D``) this raises ``ValueError``.
     """
-    kern = propagator(d, t)
-    bt = d.beta * t
-    if bt > _LOG_MAX:
-        raise _canonical_overflow(bt)
-    s = math.exp(bt)
-    m_can = kern.flow.copy()
-    m_can[0] *= s
-    (xx, q_ab), (_, yy) = kern.cov_physical.tolist()
-    noise = np.array([[(s * xx) * s, s * q_ab], [q_ab * s, yy]])
-    with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check is the gate
-        mean, cov = m_can @ state.mean, m_can @ state.cov @ m_can.T + noise
-    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-        raise _canonical_overflow(bt)
-    return Gaussian2D(mean, cov)
+    t = _check_real("time t", t)
+    # a start near the float floor is pushed at unit scale, lest its physical mean be subnormal
+    j = min(0, math.frexp(max(map(abs, state.mean.tolist())))[1])
+    return _stretch_x(*_push(np.ldexp(state.mean, -j), state.cov, d, t), d.beta * t, 2.0 ** j)
 
 
 def thermal_state(d: DerivedParams, t: float) -> Gaussian2D:
     """Long-time (Maxwell-Boltzmann) state at time ``t``, canonical coordinates.
 
-    Canonical covariance ``diag((D/2)*exp(2*beta*t), D/2)`` with
-    ``D = temperature_number``, i.e. both physical marginals have variance
-    ``D/2``.  Requires friction: without it the oscillator never thermalises.
-    Past ``beta*t`` ~355 no float holds the x variance, and this raises ``ValueError``.
+    The physical covariance ``diag(D/2, D/2)``, ``D = temperature_number``, stretched
+    to the canonical frame.  Requires friction: without it the oscillator never
+    thermalises.  Past ``beta*t`` ~355 no float holds the x variance: ``ValueError``.
     """
-    _check_real("time t", t)
+    t = _check_real("time t", t)
     if d.beta == 0.0:
         raise RequiresFriction("thermalisation requires beta > 0")
-    half_d = d.temperature_number / 2.0
-    bt = d.beta * t
-    var_x = half_d * math.exp(2.0 * bt) if 2.0 * bt <= _LOG_MAX else math.inf
-    if not math.isfinite(var_x):
-        raise _canonical_overflow(bt)
-    return Gaussian2D(np.zeros(2), np.diag([var_x, half_d]))
+    return _stretch_x(np.zeros(2), np.eye(2) * (d.temperature_number / 2.0), d.beta * t)
 
 
 def state_overlap(a: Gaussian2D, b: Gaussian2D) -> float:

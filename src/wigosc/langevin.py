@@ -92,7 +92,7 @@ class SdeConfig:
     threads: int = 0
 
     def __post_init__(self):
-        _check_real("dt", self.dt, positive=True)
+        object.__setattr__(self, "dt", _check_real("dt", self.dt, positive=True))
         for name, low in (("n_steps", 1), ("n_trajectories", 1), ("record_every", 0), ("threads", 0)):
             _check_int(name, getattr(self, name), low)
         if _check_int("seed", self.seed) >= 2 ** 63:
@@ -282,15 +282,11 @@ def simulate_ensemble(params: ModelParams, cfg: SdeConfig,
             step_s += group_step_s
 
     n = cfg.n_trajectories
-    mean = sums[:, :2] / n
-    exx = sums[:, 2] / n
-    exy = sums[:, 3] / n
-    eyy = sums[:, 4] / n
     bessel = n / (n - 1.0) if n > 1 else 1.0
-    cov = np.empty((len(rec_idx), 2, 2))
-    cov[:, 0, 0] = (exx - mean[:, 0] ** 2) * bessel
-    cov[:, 0, 1] = cov[:, 1, 0] = (exy - mean[:, 0] * mean[:, 1]) * bessel
-    cov[:, 1, 1] = (eyy - mean[:, 1] ** 2) * bessel
+    moments = sums / n  # raw moments, made central in place, in _COMPONENTS order
+    mean = moments[:, :2]
+    moments[:, 2:] = (moments[:, 2:] - mean[:, [0, 0, 1]] * mean[:, [0, 1, 1]]) * bessel
+    cov = moments[:, [2, 3, 3, 4]].reshape(-1, 2, 2)
 
     se = _standard_errors(cov, n)
     return MomentReport(

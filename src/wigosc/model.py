@@ -53,6 +53,8 @@ class ModelParams:
         White-noise strength (force^2 * time).  When omitted it is pinned to
         the thermal-consistency value ``2*mass*beta*theta``, the choice for
         which the stationary state is Maxwell-Boltzmann.
+
+    Fields are stored as floats; a bad one, text included, raises :class:`NonPositiveParameter`.
     """
 
     mass: float
@@ -63,16 +65,10 @@ class ModelParams:
     mu: float | None = None
 
     def __post_init__(self):
-        for name in ("mass", "omega", "hbar"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise NonPositiveParameter(f"{name} must be positive and finite, got {v!r}")
-        for name in ("beta", "theta"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0):
-                raise NonPositiveParameter(f"{name} must be non-negative and finite, got {v!r}")
-        if self.mu is not None and not (math.isfinite(self.mu) and self.mu >= 0):
-            raise NonPositiveParameter(f"mu must be non-negative and finite, got {self.mu!r}")
+        checked = ("mass", "omega", "hbar", "beta", "theta") + (("mu",) if self.mu is not None else ())
+        for i, name in enumerate(checked):  # the first three must be > 0
+            value = _check_real(name, getattr(self, name), i < 3, error=NonPositiveParameter)
+            object.__setattr__(self, name, value)
 
     @property
     def noise_strength(self) -> float:
@@ -92,9 +88,8 @@ class ModelParams:
         ``noise_number_free * m * omega**2 * hbar`` instead of the thermal
         value (the frictionless runs are parameterised this way).
         """
-        mu = None if noise_number_free is None else float(noise_number_free)
-        return cls(mass=1.0, omega=1.0, beta=float(damping_ratio),
-                   theta=float(temperature_number) / 2.0, hbar=1.0, mu=mu)
+        theta = _check_real("temperature_number", temperature_number, error=NonPositiveParameter) / 2.0
+        return cls(mass=1.0, omega=1.0, beta=damping_ratio, theta=theta, hbar=1.0, mu=noise_number_free)
 
 
 @dataclass(frozen=True)
@@ -159,10 +154,14 @@ def derive(params: ModelParams) -> DerivedParams:
 
 @dataclass(frozen=True)
 class PhasePoint:
-    """A point in the dimensionless canonical phase plane ``(x, y)``."""
+    """A point in the dimensionless canonical phase plane ``(x, y)``; both finite, stored as floats."""
 
     x: float
     y: float
+
+    def __post_init__(self):
+        for name in ("x", "y"):
+            object.__setattr__(self, name, _check_real(name, getattr(self, name), signed=True))
 
     @property
     def radius(self) -> float:

@@ -50,7 +50,7 @@ def longtime_survival(d: DerivedParams, t: float) -> float:
     Uses the thermalised covariance, so it is meaningful only once memory of
     the initial state is damped out; it does not equal 1 at ``t = 0``.
     """
-    _check_real("time t", t)
+    t = _check_real("time t", t)
     if d.beta == 0.0:
         raise RequiresFriction("the long-time survival form requires beta > 0")
     big_d = d.temperature_number
@@ -69,7 +69,7 @@ def nofriction_survival(d: DerivedParams, t: float) -> float:
     Valid for all ``t``; the oscillator heats without bound, so this decays
     like ``1/(w*t)`` instead of exponentially.
     """
-    _check_real("time t", t)
+    t = _check_real("time t", t)
     no = d.noise_number_free
     wt = d.omega * t
     return 1.0 / math.sqrt((1.0 + no * wt / 2.0) ** 2
@@ -181,7 +181,7 @@ def _mean_angle(mean: np.ndarray, cov: np.ndarray, beta_t: float, tol: float) ->
     Closed form for a centred state, else the physical-angle integral to ``tol``;
     ``tol`` is checked for both.
     """
-    _check_real("tol", tol, positive=True)
+    tol = _check_real("tol", tol, positive=True)
     if not mean.any():  # centred
         return _centred_mean_angle(cov, math.exp(-beta_t))
     profile, norm = _angle_profile(mean, cov)
@@ -207,7 +207,7 @@ def phase_expectation(state0: Gaussian2D | None, d: DerivedParams, t: float,
     physical-angle integral to ``tol``.  Both decay to zero.
     """
     state0 = ground_state() if state0 is None else state0
-    return _mean_angle(*_push(state0.mean, state0.cov, d, t), d.beta * t, tol)
+    return _mean_angle(*_push(state0.mean, state0.cov, d, t), d.beta * _check_real("time t", t), tol)
 
 
 def thermal_angle_expectation(phi_func: Callable[[np.ndarray], np.ndarray],
@@ -220,8 +220,7 @@ def thermal_angle_expectation(phi_func: Callable[[np.ndarray], np.ndarray],
     ``+-pi``) as ``beta*t`` grows.  ``phi_func`` is called on ndarrays, ufunc-style
     (``np.cos``, not ``math.cos``); a scalar return, as from ``lambda phi: 1.0``, is broadcast.
     """
-    _check_real("time t", t)
-    return _angle_rule(phi_func, d.beta * t, tol) / (2.0 * math.pi)
+    return _angle_rule(phi_func, d.beta * _check_real("time t", t), tol) / (2.0 * math.pi)
 
 
 def energy_generating_function(d: DerivedParams, b_param: float, t: float) -> float:
@@ -240,7 +239,7 @@ def energy_generating_function(d: DerivedParams, b_param: float, t: float) -> fl
 
     which cannot overflow; for ``K`` beyond ~745 it underflows to 0.
     """
-    _check_real("time t", t)
+    t = _check_real("time t", t)
     half_hwb = d.params.hbar * d.omega * _check_real("b_param", b_param) / 2.0
     k = half_hwb * math.exp(-d.beta * t)
     tanhc = math.tanh(k) / k if k > 0.0 else 1.0

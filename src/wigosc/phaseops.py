@@ -201,7 +201,7 @@ def attenuation(offset: int | np.ndarray, beta_t: float):
     equal to 1 at ``beta_t = 0`` and stepping to 0 (even) / 1 (odd) as
     ``beta_t -> inf``.  ``beta_t`` must be ``>= 0``; ``inf`` is the late-time limit.
     """
-    _check_real("beta_t", beta_t, inf=True)
+    beta_t = _check_real("beta_t", beta_t, inf=True)
     k = np.abs(np.asarray(offset)).ravel()
     out = np.ones(k.shape)
     even = np.flatnonzero(((k & 1) == 0) & (k != 0))
@@ -413,7 +413,7 @@ def phase_variance_diagonal(m: int, kind: str = "canonical", beta_t: float = 0.0
     m = _check_int("m", m)
     if kind not in ("canonical", "physical"):
         raise ValueError(f"kind must be 'canonical' or 'physical', got {kind!r}")
-    _check_real("tol", tol, positive=True)
+    tol = _check_real("tol", tol, positive=True)
     bt = None if kind == "canonical" else _check_real("beta_t", beta_t, inf=True)
     c_m = np.exp(_log_c(m, m + 1))
     bracket = lambda span: [float(b[0]) for b in _tail_bracket(np.array([m]), m + span, c_m, bt)]
@@ -480,7 +480,7 @@ def variance_diagonal_table(m_max: int, extra: int = 200_000,
     """
     m_max, extra = _check_int("m_max", m_max), _check_int("extra", extra)
     if beta_t is not None:
-        _check_real("beta_t", beta_t, inf=True)
+        beta_t = _check_real("beta_t", beta_t, inf=True)
     j_top = m_max + max(extra, 2)
     c = np.exp(_log_c(0, j_top + 1))
     inv_c = 1.0 / c
@@ -527,8 +527,8 @@ def thermal_phase_variance(temperature_number: float, tol: float = 1e-10) -> Var
     most 400k rows); the returned bound combines that remainder with the
     per-row tail certificates.
     """
-    big_d = float(_check_real("temperature_number", temperature_number, positive=True))
-    _check_real("tol", tol, positive=True)
+    big_d = _check_real("temperature_number", temperature_number, positive=True)
+    tol = _check_real("tol", tol, positive=True)
     ratio = (big_d - 1.0) / (big_d + 1.0)
     if ratio == 0.0:
         n_terms = 1
@@ -558,9 +558,7 @@ def delta_matrix_element(m: int, n: int, radius: float, angle: float) -> complex
     a radius where the amplitude times the Laguerre value is not finite.
     """
     m, n = _check_int("m", m), _check_int("n", n)
-    _check_real("radius", radius)
-    if not math.isfinite(angle):
-        raise ValueError(f"angle must be finite, got {angle!r}")
+    radius, angle = _check_real("radius", radius), _check_real("angle", angle, signed=True)
     k = abs(m - n)
     nl, ng = min(m, n), max(m, n)
     x = 2.0 * radius * radius

@@ -32,7 +32,7 @@ def integrate(g: Callable[[np.ndarray], np.ndarray], edges: Sequence[float],
 
     ``g`` maps a 2-d array of nodes, one piece per row, rows in increasing order, to its values.
     """
-    _check_real("tol", tol, positive=True)
+    tol = _check_real("tol", tol, positive=True)
     lo, hi = np.asarray(edges[:-1], dtype=float), np.asarray(edges[1:], dtype=float)
     kept, spent = [], 0.0
     for _ in range(_MAX_ROUNDS):

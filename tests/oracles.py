@@ -181,7 +181,7 @@ def evolve_linalg(state: Gaussian2D, d: DerivedParams, t: float) -> tuple[np.nda
     The canonical flow and noise covariance are the physical ones conjugated
     by ``diag(exp(beta*t), 1)`` as full matrix products, and the result is
     checked positive semidefinite with ``eigvalsh``.  Oracle for
-    :func:`wigosc.evolve`, which scales rows and columns instead.
+    :func:`wigosc.evolve`, which stretches the pushed physical moments instead.
     """
     kern = propagator(d, t)
     scale = np.diag([math.exp(d.beta * t), 1.0])

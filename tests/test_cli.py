@@ -7,9 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wigosc import ModelParams, derive, longtime_survival, nofriction_survival, phase_expectation
+from wigosc import (ModelParams, derive, longtime_survival, nofriction_survival, phase_expectation,
+                    propagator, survival_probability)
 from wigosc.cli import main
 from wigosc.phaseops import canonical_phase_matrix, spectrum
+
+EPS = float(np.finfo(float).eps)
 
 
 def read_csv(path):
@@ -117,7 +120,7 @@ class TestGoldenBytes:
     """
 
     GOLDEN = {
-        "survival": "12beb23a391967c766e378ba7a060cb1c003e46770e9d55f0aa7da112a1c992a",
+        "survival": "132976e6867ee9866852f989b2ab55b63dd8ea82d0aa93a9f01aba85405f3dd8",
         "phase-mean": "0cbf765c9cdc5560ebfacaa98d39b50d50ddb4f0d0012d7ed3df830a5414465c",
         "spectrum": "ca618423826c59fac3fd8ec539508d9616d58946b15ed5ce654599c0d2534270",
     }
@@ -129,6 +132,23 @@ class TestGoldenBytes:
         body = "".join(line + "\n" for line in out.read_text().splitlines()
                        if not line.startswith("#"))
         assert hashlib.sha256(body.encode()).hexdigest() == self.GOLDEN[command]
+
+    def test_survival_within_two_eps_of_50_digits(self):
+        # the evidence for the survival literal: on the default grid each exact
+        # value is within 2 eps of the same float kernel (flow, cov_physical and
+        # beta*t) carried through push, stretch and overlap in 50 digits
+        mpmath = pytest.importorskip("mpmath")
+        d = derive(ModelParams.from_dimensionless(5.0, 0.05))
+        half = mpmath.mpf(0.5)
+        with mpmath.workdps(50):
+            for t in np.arange(0.0, 30.0 + 0.05, 0.1).tolist():
+                kern = propagator(d, t)
+                f = mpmath.matrix(kern.flow.tolist())
+                c = f * f.T * half + mpmath.matrix(kern.cov_physical.tolist())
+                s = mpmath.exp(d.beta * t)
+                det = (s * s * c[0, 0] + half) * (c[1, 1] + half) - (s * c[0, 1]) ** 2
+                exact = min(1 / mpmath.sqrt(det), 1)
+                assert abs(survival_probability(d, t) - exact) <= 2.0 * EPS * exact, t
 
 
 class TestValidateCommand:

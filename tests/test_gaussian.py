@@ -15,7 +15,7 @@ import wigosc
 from wigosc import (Gaussian2D, ModelParams, RequiresFriction, classical_flow, coherent_state,
                     derive, evolve, ground_state, noise_form, noise_form_longtime, propagator,
                     state_overlap, thermal_state)
-from wigosc.gaussian import _damped_sin2_integral, _det, _inverse, _min_eig
+from wigosc.gaussian import _damped_sin2_integral, _det, _inverse, _min_eig, _push
 
 EPS = float(np.finfo(float).eps)
 TINY = float(np.finfo(float).tiny)
@@ -423,8 +423,13 @@ class TestEvolve:
         state = coherent_state(x0, y0)
         out = evolve(state, d, t)
         mean, cov = evolve_linalg(state, d, t)
+        # evolve stretches F m, the oracle multiplies S F by m: where the sum
+        # cancels they round apart by ~eps of its terms, not of its result, and
+        # a subnormal mean by one unit of the least subnormal
+        terms = np.array([math.exp(d.beta * t), 1.0]) * (np.abs(propagator(d, t).flow)
+                                                         @ np.abs(state.mean))
         np.testing.assert_allclose(out.mean, mean, rtol=1e-14,
-                                   atol=1e-14 * float(np.max(np.abs(mean))))
+                                   atol=1e-14 * float(np.max(terms)) + math.ulp(0.0))
         np.testing.assert_allclose(out.cov, cov, rtol=1e-14,
                                    atol=1e-14 * float(np.max(np.abs(cov))))
 
@@ -488,6 +493,47 @@ def test_canonical_overflow_raises_without_a_warning():
             evolve(ground_state(), d, 702.0 / d.beta)
 
 
+# a random Gaussian start: mean in [-3, 3]**2, variances 1e-3..1e3, any correlation
+_START = st.builds(lambda m0, m1, a, d, rho: Gaussian2D(np.array([m0, m1]), _psd(a, d, rho)),
+                   st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+                   st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
+                   st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e), _CORRELATION)
+
+
+class TestFrameMap:
+    """``evolve`` is ``_push``'s physical moments with the x entry, row and column stretched."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.floats(0.0, 330.0), st.floats(0.0, math.log(1e7)), st.floats(0.01, 1.9), _START)
+    def test_physical_view_of_evolve_is_the_push(self, beta_t, log_d, big_b, start):
+        d = derive(ModelParams.from_dimensionless(math.exp(log_d), big_b))
+        t = beta_t / d.beta
+        (m0, m1), ((a, b), (c, e)) = (arr.tolist() for arr in _push(start.mean, start.cov, d, t))
+        view = evolve(start, d, t).physical(d.beta, t)
+        # each entry comes back to a few ulps of its scale; a tiny start's
+        # subnormal mean is pushed at unit scale by evolve, so it may differ by
+        # a few units of the least subnormal
+        ulps = lambda got, want, scale: abs(got - want) <= 8.0 * EPS * scale + 4.0 * math.ulp(0.0)
+        assert view.cov[1, 1] == e
+        assert ulps(view.mean[0], m0, abs(m0)) and ulps(view.mean[1], m1, abs(m1))
+        assert ulps(view.cov[0, 0], a, a)
+        for off in (view.cov[0, 1], view.cov[1, 0]):
+            assert ulps(off, (b + c) / 2.0, max(abs(b), abs(c)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(360.0, 2000.0), st.floats(0.0, math.log(1e7)), st.floats(0.01, 1.9), _START)
+    def test_overflow_is_a_plain_value_error_without_a_warning(self, beta_t, log_d, big_b, start):
+        # past beta*t = 360 the canonical x variance, about (D/2)*exp(2*beta*t), has no float
+        d = derive(ModelParams.from_dimensionless(math.exp(log_d), big_b))
+        t = beta_t / d.beta
+        for make in (lambda: evolve(start, d, t), lambda: thermal_state(d, t)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="canonical-frame") as info:
+                    make()
+            assert type(info.value) is ValueError
+
+
 class TestThermalState:
     def test_marginal_variances(self, d_default):
         t = 3.0
@@ -533,6 +579,14 @@ class TestGaussian2D:
     def test_rejects_indefinite_covariance(self):
         with pytest.raises(ValueError):
             Gaussian2D(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    @pytest.mark.parametrize("x0, y0, message", [
+        ("1", 2, "^x0 must be a real number"),  # used to be parsed into a state
+        (0.0, math.nan, "^y0 must be finite"),
+    ])
+    def test_coherent_state_rejects_bad_centre(self, x0, y0, message):
+        with pytest.raises(ValueError, match=message):
+            coherent_state(x0, y0)
 
     def test_degenerate_flagged(self):
         assert Gaussian2D(np.zeros(2), np.zeros((2, 2))).is_degenerate

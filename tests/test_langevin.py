@@ -81,6 +81,20 @@ class TestConfig:
         cfg = SdeConfig(dt=0.01, n_steps=10, n_trajectories=2, seed=1)
         with pytest.raises(TypeError, match="PhasePoint"):
             simulate_ensemble(make_params(1.0, 0.1), cfg, initial=(1.0, 0.0))
+        # a NaN point start used to return all-NaN moments, and a text one was parsed
+        for x in (math.nan, "1"):
+            with pytest.raises(ValueError, match="^x must be"):
+                simulate_ensemble(make_params(1.0, 0.1), cfg, initial=PhasePoint(x, 0.0))
+
+    def test_float32_step_computed_in_float64(self):
+        # a float32 dt used to set float32 arithmetic in the chain's linear map:
+        # the covariances read 6.5e-6 apart
+        params = make_params(5.0, 0.25)
+        narrow = SdeConfig(dt=np.float32(0.01), n_steps=400, n_trajectories=300, seed=3)
+        wide = SdeConfig(dt=float(np.float32(0.01)), n_steps=400, n_trajectories=300, seed=3)
+        assert type(narrow.dt) is float and narrow == wide
+        assert (simulate_ensemble(params, narrow).digest()
+                == simulate_ensemble(params, wide).digest())
 
     def test_seed_range(self):
         # Philox key words >= 2**63 would pass through float64: 2**63 and

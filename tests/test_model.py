@@ -64,6 +64,16 @@ class TestDerive:
             ModelParams(mass=1.0, omega=1.0, mu=-1.0)
         with pytest.raises(NonPositiveParameter):
             ModelParams(mass=math.nan, omega=1.0)
+        # text raised a bare TypeError from math.isfinite, and
+        # from_dimensionless parsed it through float()
+        with pytest.raises(NonPositiveParameter, match="^mass must be a real number"):
+            ModelParams("1", 1.0)
+        with pytest.raises(NonPositiveParameter, match="^temperature_number must be a real number"):
+            ModelParams.from_dimensionless("5", "0.1")
+        with pytest.raises(NonPositiveParameter, match="^beta must be a real number"):
+            ModelParams.from_dimensionless(5.0, "0.1")
+        with pytest.raises(NonPositiveParameter, match="^mu must be finite and >= 0"):
+            ModelParams.from_dimensionless(0.0, 0.0, -0.25)
 
 
 class TestClassicalFlow:
@@ -182,3 +192,16 @@ class TestPhasePoint:
         assert PhasePoint(-1.0, 0.0).angle == -math.pi  # branch [-pi, pi)
         assert PhasePoint(1.0, -1.0).angle == pytest.approx(-math.pi / 4)
         assert PhasePoint(3.0, 4.0).radius == pytest.approx(5.0)
+
+    @pytest.mark.parametrize("x, y, message", [
+        ("1", 0.0, "^x must be a real number"),  # used to be stored as text
+        (0.0, math.nan, "^y must be finite"),
+        (-math.inf, 0.0, "^x must be finite"),
+    ])
+    def test_bad_coordinates_rejected(self, x, y, message):
+        with pytest.raises(ValueError, match=message):
+            PhasePoint(x, y)
+
+    def test_coordinates_stored_as_floats(self):
+        point = PhasePoint(np.float32(0.5), -2)
+        assert (point.x, point.y) == (0.5, -2.0) and type(point.y) is float

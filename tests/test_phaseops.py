@@ -667,10 +667,11 @@ class TestKernelsMatchGatheredForms:
     (lambda: phase_variance_diagonal(3, kind="physical", beta_t="1"), "beta_t must be a real number"),
     (lambda: thermal_phase_variance("5"), "temperature_number must be a real number"),
     (lambda: delta_matrix_element(1, 2, "1", 0.0), "radius must be a real number"),
+    (lambda: delta_matrix_element(0, 0, 1.0, "x"), "angle must be a real number"),  # bare TypeError
 ], ids=["g_coefficient-m", "g_coefficient-n", "g_matrix", "canonical", "physical", "angle_operator",
         "phase_fourier", "row_variance", "table-m_max", "table-extra", "delta-m", "delta-n",
         "physical-text-beta_t", "table-text-beta_t", "row-text-beta_t", "thermal-text-D",
-        "delta-text-radius"])
+        "delta-text-radius", "delta-text-angle"])
 def test_non_integer_index_rejected(call, message):
     with pytest.raises(ValueError, match=f"^{message}"):
         call()
