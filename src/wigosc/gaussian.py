@@ -10,10 +10,9 @@ Averaging the deterministic flow over realisations of the white-noise force
 turns the delta-function propagator of the quadratic generator into a Gaussian
 kernel.  Its covariance integrates only ``I_ss``: one regrouped closed form at
 every damping, and an 8-point Gauss rule for the short lags where that form
-cancels.  ``propagator`` reads the scalar
-entries of the flow and of the noise form (``model._flow_terms``,
-``_noise_terms``), the same floats ``classical_flow`` and ``noise_form`` wrap
-as arrays.
+cancels.  ``propagator`` reads the scalar entries of the flow and of the noise
+form (``model._flow_terms``, ``_noise_terms``), the same floats ``classical_flow``
+and ``noise_form`` wrap as arrays.
 """
 
 from __future__ import annotations
@@ -128,25 +127,22 @@ class Gaussian2D:
         1 (the Jacobian is absorbed by the amplitude).  ``beta`` and ``t``
         must be finite and ``>= 0``.
         """
-        return _stretch_x(self.mean, self.cov, -_check_real("beta", beta) * _check_real("time t", t))
+        return Gaussian2D(*_stretch_x(self.mean, self.cov,
+                                      -_check_real("beta", beta) * _check_real("time t", t)))
 
 
-def _stretch_x(mean: np.ndarray, cov: np.ndarray, log_s: float,
-               mean_scale: float = 1.0) -> Gaussian2D:
-    """The state ``(mean, cov)``, its x entry, row and column scaled by ``s = exp(log_s)``.
-
-    The one map between the frames: ``log_s = beta*t`` goes from physical to canonical,
-    ``-beta*t`` back; ``mean_scale``, a power of two, then scales the mean.  Python floats
-    overflow without a warning; a canonical state past a float (``beta*t`` ~340-355, by
-    ``D``) raises ``ValueError``.
+def _stretch_x(mean: np.ndarray, cov: np.ndarray, log_s: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(mean, cov)``, its x entry, row and column scaled by ``s = exp(log_s)``: the one map
+    between the frames, ``log_s = beta*t`` to canonical and ``-beta*t`` back.  A canonical state
+    past a float (``beta*t`` ~340-355, by ``D``) raises ``ValueError``, with no numpy warning.
     """
     s = math.exp(log_s) if log_s <= _LOG_MAX else math.inf
     (m0, m1), ((a, b), (c, d)) = mean.tolist(), cov.tolist()
-    m0, a, b, c = (s * m0) * mean_scale, (s * a) * s, s * b, c * s
+    m0, a, b, c = s * m0, (s * a) * s, s * b, c * s
     if not all(map(math.isfinite, (m0, a, b, c))):
         raise ValueError(f"the canonical-frame state overflows a float at beta*t = {log_s!r}; "
                          "the physical frame stays finite: use propagator(d, t).cov_physical")
-    return Gaussian2D(np.array([m0, m1 * mean_scale]), np.array([[a, b], [c, d]]))
+    return np.array([m0, m1]), np.array([[a, b], [c, d]])
 
 
 _GROUND = Gaussian2D(np.zeros(2), 0.5 * np.eye(2))
@@ -265,13 +261,22 @@ def evolve(state: Gaussian2D, d: DerivedParams, t: float) -> Gaussian2D:
     """Push a Gaussian state from time 0 to ``t`` through the averaged dynamics.
 
     The canonical state is the physical one, ``(F m0, F C0 F^T + cov_physical)``,
-    with the x entry, row and column stretched by ``exp(beta*t)``.  Where that
+    with the x entry, row and column stretched by ``s = exp(beta*t)``; each mean
+    entry is ``diag(s, 1) F m0`` rounded once from its exact value.  Where that
     overflows a float (``beta*t`` past ~340-355, by ``D``) this raises ``ValueError``.
     """
     t = _check_real("time t", t)
-    # a start near the float floor is pushed at unit scale, lest its physical mean be subnormal
-    j = min(0, math.frexp(max(map(abs, state.mean.tolist())))[1])
-    return _stretch_x(*_push(np.ldexp(state.mean, -j), state.cov, d, t), d.beta * t, 2.0 ** j)
+    flow, cov = _push(np.eye(2), state.cov, d, t)  # the unit vectors push to F itself
+    _, cov = _stretch_x(flow @ state.mean, cov, d.beta * t)  # raises on overflow
+    # one rounding: F m0 rounded, then stretched, carries s-fold a cancelling sum's error
+    m, rows = state.mean.tolist(), zip((math.exp(d.beta * t), 1.0), flow.tolist())
+    return Gaussian2D(np.array([_round_once(k, *row, *m) for k, row in rows]), cov)
+
+
+def _round_once(k: float, a: float, b: float, x: float, y: float) -> float:
+    """``k*(a*x + b*y)`` of floats, exact in integer units of ``2**-1074``, then rounded once."""
+    u = [n << (1075 - q.bit_length()) for n, q in map(float.as_integer_ratio, (k, a, b, x, y))]
+    return u[0] * (u[1] * u[3] + u[2] * u[4]) / (1 << 3222)
 
 
 def thermal_state(d: DerivedParams, t: float) -> Gaussian2D:
@@ -284,7 +289,7 @@ def thermal_state(d: DerivedParams, t: float) -> Gaussian2D:
     t = _check_real("time t", t)
     if d.beta == 0.0:
         raise RequiresFriction("thermalisation requires beta > 0")
-    return _stretch_x(np.zeros(2), np.eye(2) * (d.temperature_number / 2.0), d.beta * t)
+    return Gaussian2D(*_stretch_x(np.zeros(2), np.eye(2) * d.temperature_number / 2.0, d.beta * t))
 
 
 def state_overlap(a: Gaussian2D, b: Gaussian2D) -> float:

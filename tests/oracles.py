@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -179,14 +180,17 @@ def evolve_linalg(state: Gaussian2D, d: DerivedParams, t: float) -> tuple[np.nda
     """``(mean, cov)`` of ``state`` pushed from 0 to ``t`` by generic matrix algebra.
 
     The canonical flow and noise covariance are the physical ones conjugated
-    by ``diag(exp(beta*t), 1)`` as full matrix products, and the result is
-    checked positive semidefinite with ``eigvalsh``.  Oracle for
-    :func:`wigosc.evolve`, which stretches the pushed physical moments instead.
+    by ``S = diag(exp(beta*t), 1)`` as full matrix products, and the result is
+    checked positive semidefinite with ``eigvalsh``.  The mean ``S F m0`` is
+    formed in exact rationals from the float ``S``, ``F`` and ``m0`` and rounded
+    once.  Oracle for :func:`wigosc.evolve`, which stretches the pushed physical
+    moments instead.
     """
     kern = propagator(d, t)
     scale = np.diag([math.exp(d.beta * t), 1.0])
     flow = scale @ kern.flow
-    mean = flow @ state.mean
+    exact = [np.vectorize(Fraction, otypes=[object])(a) for a in (scale, kern.flow, state.mean)]
+    mean = (exact[0] @ exact[1] @ exact[2]).astype(float)
     cov = flow @ state.cov @ flow.T + scale @ kern.cov_physical @ scale
     if np.linalg.eigvalsh(cov)[0] < -1e-12 * max(1.0, float(np.max(np.abs(cov)))):
         raise ValueError("evolved covariance not positive semidefinite")
