@@ -7,8 +7,10 @@ real argument (a time, ``beta_t``, a tolerance, a model parameter, a coordinate)
 goes through :func:`_check_real`: a number, never text, finite and ``>= 0`` or
 ``> 0`` (a coordinate or an angle takes either sign); only ``beta_t`` may be ``+inf``,
 its late-time limit.  The value is checked, then converted: callers compute with
-the returned ``float``, so a numpy ``float32`` never sets float32 arithmetic.  Both
-raise ``ValueError`` naming the argument and giving its value;
+the returned ``float``, so a numpy ``float32`` never sets float32 arithmetic.  An
+array argument (a state's mean and covariance) goes through
+:func:`_check_real_array`: its entries are numbers, never text.  All three raise
+``ValueError`` naming the argument and giving its value;
 :class:`~wigosc.model.ModelParams` has the real check raise :class:`NonPositiveParameter`.
 """
 
@@ -94,3 +96,15 @@ def _check_real(name: str, value, positive: bool = False, inf: bool = False,
                 else f"finite and {'>' if positive else '>='} 0")
         raise error(f"{name} must be {rule}, got {value!r}")
     return x
+
+
+def _check_real_array(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
+    """``value`` as a float64 array of ``shape`` once its entries are real numbers, else ``ValueError``.
+
+    Integers and floats pass, as for :func:`_check_real`; text, complex and
+    object entries do not.  Finiteness is left to the caller.
+    """
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must hold real numbers, got {value!r}")
+    return arr.astype(float).reshape(shape)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RequiresFriction, _check_real
+from .errors import RequiresFriction, _check_real, _check_real_array
 from .model import DerivedParams, _flow_terms
 
 __all__ = [
@@ -88,8 +88,8 @@ class Gaussian2D:
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = np.array(self.mean, dtype=float).reshape(2)
-        (a, b), (c, d) = np.array(self.cov, dtype=float).reshape(2, 2).tolist()
+        mean = _check_real_array("mean", self.mean, (2,))
+        (a, b), (c, d) = _check_real_array("cov", self.cov, (2, 2)).tolist()
         if not all(map(math.isfinite, (*mean.tolist(), a, b, c, d))):
             raise ValueError("mean and cov must be finite")
         asym = abs(b - c)

@@ -3,31 +3,30 @@
 This is the independent validation path for the Gaussian engine: it never
 touches the analytic covariance algebra.  Trajectories of the dimensionless
 physical pair ``(X, y)`` are advanced by a low-order stochastic one-step
-method and reduced to streaming moments.
+method and reduced to moments at the record steps.
 
-Reproducibility contract: every trajectory owns a counter-based RNG stream
-keyed by ``(seed, trajectory_index)``, trajectories are processed in groups
-of a fixed size, and group partial sums are merged in index order.  Results
-are therefore bit-identical across runs and worker-thread counts.  The groups
-run on one worker thread per CPU the process may use (``taskset`` limits
-them) unless :class:`SdeConfig` names a count.  The sums over a piece's steps
-are BLAS matrix products, whose order of accumulation belongs to the kernel
-the BLAS picks for the CPU; so the bits, and the digest, are promised only
-for one numpy/BLAS build on one CPU type.  The tests find one digest at 1
-and 2 OpenBLAS threads: OpenBLAS splits a product's rows and columns across
-threads, never the summed dimension.  On other hardware a different digest
-means a different rounding of the same draws: the moments still agree with
-the per-step recursion within 1e-13 of their scale, the bound the tests hold
-them to.
+Noise layout: the step is linear, ``z' = A z + b xi``, and only the record
+steps are reported.  Over the ``L`` steps between two records a trajectory
+moves by ``z <- A**L z + e`` with ``e ~ N(0, S_L)``,
+``S_L = sum_{s<L} A**s b b^T (A**s)^T``, and ``e`` is independent of the
+state and of every other interval.  So each interval draws two normals
+``(u, v)`` and applies ``e = chol(S_L) (u, v)``: the recorded states have
+exactly the joint law that stepping the chain one step at a time samples.
+``(A**L, S_L)`` come by binary doubling, once per distinct ``L``, and a
+group draws its pairs at most ``_INTERVALS`` intervals at a time; the
+update is elementwise over the trajectories of a group.
 
-Noise layout: the step is linear, ``z' = A z + b xi``, so over a piece of
-``L`` steps between consecutive cuts (the record steps and the chunk starts)
-a trajectory moves by ``z <- A**L z + sum_s A**(L-1-s) b xi_s``.  Per chunk
-of steps, each generator of a group fills one contiguous row of a
-``(group, chunk)`` tile, and each piece is one product of the tile's columns
-with the kernel ``H_L[s] = A**(L-1-s) b``.  No per-step loop and no
-step-major noise buffer remain; on two threads both the draws and the
-products run outside the GIL.
+Reproducibility contract: every trajectory owns a counter-based Philox
+stream keyed by ``(seed, trajectory_index)`` and read in a fixed order: the
+start pair (random starts only), then one ``(u, v)`` pair per record
+interval, in time order.  Trajectories are processed in groups of a fixed
+size, and group partial sums are merged in index order.  The ensemble makes
+no BLAS call: the interval maps are rational arithmetic rounded to floats,
+and the update and the sums are numpy's elementwise operations and
+reductions.  Results are therefore bit-identical across runs, worker-thread
+counts and BLAS thread settings.  The groups run on one worker thread per
+CPU the process may use (``taskset`` limits them) unless :class:`SdeConfig`
+names a count.
 
 The one-step method is the semi-implicit (symplectic) Euler-Maruyama update:
 the momentum kick uses the old position, the position drift the new momentum.
@@ -49,13 +48,14 @@ import os
 import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from fractions import Fraction
 from time import perf_counter
 
 import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import ParameterMismatch, StepTooLarge, _check_int, _check_real
-from .gaussian import Gaussian2D, _push, ground_state
+from .gaussian import Gaussian2D, _det, _push, ground_state
 from .model import DerivedParams, ModelParams, PhasePoint
 
 __all__ = [
@@ -66,12 +66,12 @@ __all__ = [
     "compare_to_propagator",
 ]
 
-# Trajectories per group and steps per noise chunk: each group's generators
-# fill the rows of one (_GROUP, _CHUNK) tile (8 MB).  Both are fixed, because
-# the group fixes the reduction order and the chunk starts cut the linear map
-# into pieces; each stream is read in the same order at any size.
+# Trajectories per group, and record intervals per draw table: a group draws
+# at most a (_GROUP, _INTERVALS, 2) table (8 MB) at a time.  Both are fixed:
+# the group fixes the reduction order, and each stream is read in the same
+# order however its draws are split between tables.
 _GROUP = 256
-_CHUNK = 4000
+_INTERVALS = 2048
 
 
 @dataclass(frozen=True)
@@ -112,9 +112,9 @@ class SdeConfig:
 class MomentReport:
     """Per-time ensemble moments of the physical pair ``(X, y)``.
 
-    ``noise_s`` is the seconds spent building the generators and drawing the
-    noise, ``step_s`` those spent applying the chain's linear map and summing
-    the records, both summed over groups (so across threads they can add up
+    ``noise_s`` is the seconds spent resetting the streams and drawing the
+    noise, ``step_s`` those spent applying the interval maps and summing the
+    records, both summed over groups (so across threads they can add up
     to more than the wall time).  They are cost records, not results:
     :meth:`digest` leaves them out.
     """
@@ -154,79 +154,164 @@ def _start_moments(initial) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
                         f"got {type(initial).__name__}")
     mean = np.array(initial.mean, dtype=float)
     cov = np.array(initial.cov, dtype=float)
-    evals, evecs = np.linalg.eigh(cov)
-    return mean, cov, evecs @ np.diag(np.sqrt(np.clip(evals, 0.0, None)))
+    return mean, cov, _sqrt_psd(cov)
 
 
-def _kernels(params: ModelParams, dt: float, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(powers, rev)`` with ``powers[L] = A**L`` and ``rev[top - L:] = H_L`` for ``L <= top``.
+def _sqrt_psd(cov: np.ndarray) -> np.ndarray:
+    """Principal square root of the symmetric positive-semidefinite 2x2 ``cov``.
 
-    ``H_L[s] = A**(L-1-s) b`` is the kernel of a piece of ``L`` steps.  One step
-    is ``z' = A z + b xi`` in ``z = (X, y)``: with ``h = omega*dt``,
+    By Cayley-Hamilton, ``sqrt(C) = (C + r I) / sqrt(tr C + 2 r)`` with
+    ``r = sqrt(det C)``.  ``C`` is first divided by its larger diagonal entry,
+    so that the determinant neither underflows nor overflows; a determinant
+    below 0, of a covariance that is semidefinite only to rounding, counts as 0.
+    """
+    scale = max(float(cov[0, 0]), float(cov[1, 1]))
+    if scale <= 0.0:  # a semidefinite matrix with a zero diagonal is zero
+        return np.zeros((2, 2))
+    unit = cov / scale
+    r = math.sqrt(max(_det(unit), 0.0))
+    return (unit + r * np.eye(2)) * math.sqrt(scale / (unit[0, 0] + unit[1, 1] + 2.0 * r))
+
+
+def _chain_step(params: ModelParams, dt: float) -> tuple[float, ...]:
+    """One step of the chain as the map ``(p00, p01, p10, p11, s00, s01, s11)`` of ``(A, b b^T)``.
+
+    One step is ``z' = A z + b xi`` in ``z = (X, y)``: with ``h = omega*dt``,
     ``X' = (1 - beta*dt) X - h y + s xi`` and ``y' = y + h X'``, where
-    ``s = sqrt(mu*dt)/(hbar*alpha)``.  ``A**k`` for ``k <= top`` comes by
-    doubling, ``A**(j + n) = A**j A**n``, so each power is at most ``log2(k)``
-    2x2 products deep.
+    ``s = sqrt(mu*dt)/(hbar*alpha)``, so ``b = (s, h s)``.
     """
     h = params.omega * dt
     c = 1.0 - params.beta * dt
     alpha = math.sqrt(params.mass * params.omega / params.hbar)
-    a = np.array([[c, -h], [h * c, 1.0 - h * h]])
-    b = math.sqrt(params.noise_strength * dt) / (params.hbar * alpha) * np.array([1.0, h])
-    powers = np.empty((top + 1, 2, 2))
-    powers[0] = np.eye(2)
-    n, a_n = 1, a
-    while n <= top:
-        m = min(n, top + 1 - n)
-        np.matmul(powers[:m], a_n, out=powers[n:n + m])
-        n, a_n = 2 * n, a_n @ a_n
-    kicks = powers[:top] @ b  # A**k b
-    return powers, np.ascontiguousarray(kicks[::-1])
+    b0 = math.sqrt(params.noise_strength * dt) / (params.hbar * alpha)
+    b1 = h * b0
+    return c, -h, h * c, 1.0 - h * h, b0 * b0, b0 * b1, b1 * b1
+
+
+def _compose(first: tuple, then: tuple) -> tuple:
+    """The map of ``first = (P', S')`` followed by ``then = (P, S)``: ``(P P', P S' P^T + S)``."""
+    a00, a01, a10, a11, r00, r01, r11 = first
+    p00, p01, p10, p11, s00, s01, s11 = then
+    t00, t01 = p00 * r00 + p01 * r01, p00 * r01 + p01 * r11  # P S'
+    t10, t11 = p10 * r00 + p11 * r01, p10 * r01 + p11 * r11
+    return (p00 * a00 + p01 * a10, p00 * a01 + p01 * a11,
+            p10 * a00 + p11 * a10, p10 * a01 + p11 * a11,
+            t00 * p00 + t01 * p01 + s00, t00 * p10 + t01 * p11 + s01,
+            t10 * p10 + t11 * p11 + s11)
+
+
+def _double_double(law: tuple) -> tuple:
+    """Each rational entry of ``law`` rounded to ``hi + lo``, two floats (about 106 bits)."""
+    out = []
+    for value in law:
+        hi = Fraction(float(value))
+        out.append(hi + Fraction(float(value - hi)))
+    return tuple(out)
+
+
+def _interval_law(step: tuple[float, ...], n: int) -> tuple[float, ...]:
+    """``(A**n, S_n)`` as a map: ``step`` composed ``n`` times, by binary doubling.
+
+    Each result is at most ``2 log2(n)`` compositions deep.  They run in
+    rational arithmetic, rounded to double-double after each one, so the
+    floats returned are within about an ulp of the exact map of the float
+    ``step``.  In plain floats the doubling's rounding would grow about
+    linearly with ``n``, and one map is applied once per record interval, so
+    its error adds up over the intervals.
+    """
+    law, power = None, tuple(map(Fraction, step))
+    while True:
+        if n & 1:
+            law = power if law is None else _double_double(_compose(law, power))
+        n >>= 1
+        if not n:
+            return tuple(map(float, law))
+        power = _double_double(_compose(power, power))
+
+
+def _interval_map(law: tuple[float, ...]) -> tuple[float, ...]:
+    """``(p00, p01, p10, p11, l00, l10, l11)``: ``law``'s ``P`` and the lower Cholesky root of its ``S``.
+
+    ``l11`` is clipped at 0, since ``S_1 = b b^T`` has rank one; a zero ``S``
+    (no noise) has the zero root.
+    """
+    p00, p01, p10, p11, s00, s01, s11 = law
+    l00 = math.sqrt(s00)
+    l10 = s01 / l00 if l00 > 0.0 else 0.0
+    return p00, p01, p10, p11, l00, l10, math.sqrt(max(s11 - l10 * l10, 0.0))
+
+
+def _stream_reset(bitgen: Philox, seed: int):
+    """``reset(index)``, which puts ``bitgen`` in the state a fresh ``Philox(key=[seed, index])`` starts in.
+
+    One generator per group, reset per trajectory, gives each trajectory's
+    own stream at a fraction of the cost of building a generator.
+    """
+    fresh = {"bit_generator": "Philox",
+             "state": {"counter": np.zeros(4, np.uint64), "key": np.array([seed, 0], np.uint64)},
+             "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    key = fresh["state"]["key"]
+
+    def reset(index: int) -> None:
+        key[1] = index
+        bitgen.state = fresh
+
+    return reset
 
 
 def _run_group(group: int, cfg: SdeConfig, mean0: np.ndarray, root: np.ndarray | None,
-               rec_idx: list[int], cuts: list[int], powers: np.ndarray, rev: np.ndarray
-               ) -> tuple[np.ndarray, float, float]:
+               maps: list[tuple[float, ...]]) -> tuple[np.ndarray, float, float]:
     """Simulate one group of trajectories; return ``(sums, noise_s, step_s)``.
 
-    ``sums`` is (nout, 5) with column order X, y, X*X, X*y, y*y, summed over
-    the group's trajectories.  ``noise_s`` is the seconds spent building the
-    generators and drawing the noise, ``step_s`` those spent applying the
-    chain's linear map and summing the records.
+    ``maps`` holds each record interval's :func:`_interval_map`, in time
+    order.  ``sums`` is (nout, 5) with column order X, y, X*X, X*y, y*y,
+    summed over the group's trajectories.  ``noise_s`` is the seconds spent
+    resetting the streams and drawing the noise, ``step_s`` those spent
+    applying the interval maps and summing the records.
     """
     t0 = perf_counter()
     lo = group * _GROUP
     ng = min(_GROUP, cfg.n_trajectories - lo)
-    gens = [Generator(Philox(key=[cfg.seed, lo + i])) for i in range(ng)]
-    z = np.tile(mean0, (ng, 1))
-    if root is not None:
-        z += np.array([gen.standard_normal(2) for gen in gens]) @ root.T
-    tile = np.empty((ng, min(_CHUNK, cfg.n_steps)))
-    noise_s = perf_counter() - t0
-    step_s = 0.0
-
-    sums = np.zeros((len(rec_idx), 5))
+    bitgen = Philox(key=[cfg.seed, lo])
+    gen = Generator(bitgen)
+    reset = _stream_reset(bitgen, cfg.seed)
+    start = np.empty((ng, 2))
+    saved = [None] * ng  # stream positions between draw tables
+    sums = np.zeros((len(maps) + 1, 5))
+    noise_s = step_s = 0.0
 
     def record(slot: int) -> None:
-        x, y = z[:, 0], z[:, 1]
         sums[slot] = (x.sum(), y.sum(), (x * x).sum(), (x * y).sum(), (y * y).sum())
 
-    record(0)  # every record list starts at step 0
-    slot = 1
-    for start, end in zip(cuts, cuts[1:]):
-        t0 = perf_counter()
-        col = start % _CHUNK
-        if col == 0:
-            for row, gen in zip(tile[:, :cfg.n_steps - start], gens):
-                gen.standard_normal(out=row)
+    for first in range(0, len(maps), _INTERVALS):
+        table = np.empty((ng, min(_INTERVALS, len(maps) - first), 2))
+        more = first + _INTERVALS < len(maps)
+        for i, row in enumerate(table):
+            if first == 0:
+                reset(lo + i)
+                if root is not None:
+                    gen.standard_normal(out=start[i])
+            else:
+                bitgen.state = saved[i]
+            gen.standard_normal(out=row)
+            if more:
+                saved[i] = bitgen.state
         t1 = perf_counter()
-        length = end - start
-        z = z @ powers[length].T + tile[:, col:col + length] @ rev[len(rev) - length:]
-        if end == rec_idx[slot]:
-            record(slot)
-            slot += 1
         noise_s += t1 - t0
-        step_s += perf_counter() - t1
+        if first == 0:
+            if root is None:
+                x, y = np.full(ng, mean0[0]), np.full(ng, mean0[1])
+            else:
+                u, v = start[:, 0], start[:, 1]
+                x = mean0[0] + root[0, 0] * u + root[0, 1] * v
+                y = mean0[1] + root[1, 0] * u + root[1, 1] * v
+            record(0)
+        for j, (p00, p01, p10, p11, l00, l10, l11) in enumerate(maps[first:first + table.shape[1]]):
+            u, v = table[:, j, 0], table[:, j, 1]
+            x, y = p00 * x + p01 * y + l00 * u, p10 * x + p11 * y + l10 * u + l11 * v
+            record(first + j + 1)
+        t0 = perf_counter()
+        step_s += t0 - t1
     return sums, noise_s, step_s
 
 
@@ -262,10 +347,10 @@ def simulate_ensemble(params: ModelParams, cfg: SdeConfig,
         raise StepTooLarge(f"omega*dt = {params.omega * cfg.dt:.3g} > 0.1")
     mean0, cov0, root = _start_moments(initial)
     rec_idx = cfg.record_indices()
-    records = rec_idx.tolist()
-    # the pieces run between consecutive cuts; a chunk's noise is drawn at its start
-    cuts = sorted({*records, *range(0, cfg.n_steps, _CHUNK)})
-    powers, rev = _kernels(params, cfg.dt, min(_CHUNK, cfg.n_steps))
+    step = _chain_step(params, cfg.dt)
+    lengths = np.diff(rec_idx).tolist()
+    per_length = {n: _interval_map(_interval_law(step, n)) for n in set(lengths)}
+    maps = [per_length[n] for n in lengths]
     n_groups = -(-cfg.n_trajectories // _GROUP)
     threads = cfg.threads or (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                               else os.cpu_count() or 1)
@@ -275,7 +360,7 @@ def simulate_ensemble(params: ModelParams, cfg: SdeConfig,
     with ThreadPoolExecutor(max_workers=threads) as pool:
         # map yields in group order, so the merge order is fixed
         for part, group_noise_s, group_step_s in pool.map(
-                lambda g: _run_group(g, cfg, mean0, root, records, cuts, powers, rev),
+                lambda g: _run_group(g, cfg, mean0, root, maps),
                 range(n_groups)):
             sums += part
             noise_s += group_noise_s

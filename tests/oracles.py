@@ -443,6 +443,15 @@ def energy_weyl_symbol(d: DerivedParams, b_param: float, t: float) -> Callable:
     return symbol
 
 
+def _chain(params: ModelParams, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(A, b)`` of one step ``z' = A z + b xi`` of the chain, as :func:`scheme_moments` states them."""
+    h = params.omega * dt
+    c = 1.0 - params.beta * dt
+    alpha = math.sqrt(params.mass * params.omega / params.hbar)
+    s = math.sqrt(params.noise_strength * dt) / (params.hbar * alpha)
+    return np.array([[c, -h], [h * c, 1.0 - h * h]]), s * np.array([1.0, h])
+
+
 def scheme_moments(params: ModelParams, dt: float, n_steps: int, mean0: np.ndarray,
                    cov0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact mean and covariance of the semi-implicit Euler-Maruyama chain after ``n_steps``.
@@ -460,12 +469,7 @@ def scheme_moments(params: ModelParams, dt: float, n_steps: int, mean0: np.ndarr
     discrete scheme itself, whose distance from the propagator is the
     scheme's discretisation bias.
     """
-    h = params.omega * dt
-    c = 1.0 - params.beta * dt
-    alpha = math.sqrt(params.mass * params.omega / params.hbar)
-    s = math.sqrt(params.noise_strength * dt) / (params.hbar * alpha)
-    step = np.array([[c, -h], [h * c, 1.0 - h * h]])
-    kick = s * np.array([1.0, h])
+    step, kick = _chain(params, dt)
     noise = np.outer(kick, kick)
     mean = np.array(mean0, dtype=float)
     cov = np.array(cov0, dtype=float)
@@ -475,62 +479,63 @@ def scheme_moments(params: ModelParams, dt: float, n_steps: int, mean0: np.ndarr
     return mean, cov
 
 
-def run_block_columns(params: ModelParams, cfg: SdeConfig, mean0: np.ndarray,
-                      root: np.ndarray | None, rec_idx: np.ndarray) -> np.ndarray:
-    """(nout, 5) moment sums of the whole ensemble, stepped one step at a time.
+def interval_law(params: ModelParams, dt: float, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(A**n, S_n)``: the chain's flow and noise covariance over ``n_steps``, by :func:`scheme_moments`.
 
-    The plain Langevin loop in the physical pair ``(q, p)``: all trajectories
-    form one block, every chunk of 2500 steps draws each trajectory's normals
-    into its own column of a step-major buffer, and each step applies the
-    semi-implicit update to every trajectory.  Oracle for
-    ``wigosc.simulate_ensemble``, which reads the same streams in the same
-    order but sums each piece of steps by the chain's linear map, so the two
-    agree to rounding, not bit for bit.
+    Over ``n`` steps a state moves by ``z <- A**n z + e`` with ``e ~ N(0, S_n)``;
+    the columns of ``A**n`` are the recursion's means from the unit starts,
+    and ``S_n`` its covariance from a point start.
     """
-    m, w, b = params.mass, params.omega, params.beta
-    alpha = math.sqrt(m * w / params.hbar)
-    scale_p = params.hbar * alpha
-    dt = cfg.dt
-    sq = math.sqrt(params.noise_strength * dt)
-    c_fric = 1.0 - b * dt
-    c_spring = -m * w * w * dt
-    dtm = dt / m
+    zero = np.zeros((2, 2))
+    flow = np.column_stack([scheme_moments(params, dt, n_steps, unit, zero)[0] for unit in np.eye(2)])
+    return flow, scheme_moments(params, dt, n_steps, np.zeros(2), zero)[1]
 
-    nb = cfg.n_trajectories
-    gens = [Generator(Philox(key=[cfg.seed, i])) for i in range(nb)]
-    q = np.full(nb, mean0[1] / alpha)
-    p = np.full(nb, mean0[0] * scale_p)
-    if root is not None:
-        for i, gen in enumerate(gens):
-            x, y = mean0 + root @ gen.standard_normal(2)
-            q[i], p[i] = y / alpha, x * scale_p
 
-    sums = np.zeros((len(rec_idx), 5))
-    rec_set = {int(s): k for k, s in enumerate(rec_idx)}
+def run_interval_columns(params: ModelParams, cfg: SdeConfig, mean0: np.ndarray,
+                         root: np.ndarray | None) -> np.ndarray:
+    """(nout, 5) moment sums of the whole ensemble, one record interval at a time.
 
-    def record(slot: int) -> None:
-        x_dim = p / scale_p
-        y_dim = alpha * q
-        sums[slot] = (x_dim.sum(), y_dim.sum(), (x_dim * x_dim).sum(),
-                      (x_dim * y_dim).sum(), (y_dim * y_dim).sum())
+    Trajectory ``i`` reads a fresh ``Generator(Philox(key=[seed, i]))``: the
+    start pair ``w`` (for a random start, ``z = mean0 + root w``), then one pair
+    ``(u, v)`` per record interval, in time order, which fills column ``i`` of
+    a block's draw table.  An interval of ``n`` steps moves every trajectory
+    of the block by ``z <- A**n z + R_n (u, v)``, with ``(A**n, S_n)`` from
+    :func:`interval_law` and ``R_n`` the lower Cholesky root of ``S_n``: for
+    one step, the kick ``b`` itself, whose ``S_1 = b b^T`` has rank one.
+    Oracle for ``wigosc.simulate_ensemble``, which reads the same draws but
+    takes ``(A**n, S_n)`` by doubling and sums in groups, so the two agree to
+    rounding, not bit for bit.
+    """
+    lengths = np.diff(cfg.record_indices()).tolist()
+    maps = {}
+    for n in set(lengths):
+        flow, noise = interval_law(params, cfg.dt, n)
+        if n == 1:
+            maps[n] = flow, np.column_stack([_chain(params, cfg.dt)[1], np.zeros(2)])
+        else:
+            maps[n] = flow, np.linalg.cholesky(noise) if noise.any() else np.zeros((2, 2))
 
-    if 0 in rec_set:
-        record(rec_set[0])
-    step = 0
-    while step < cfg.n_steps:
-        ns = min(2500, cfg.n_steps - step)
-        noise = np.empty((ns, nb))
-        for i, gen in enumerate(gens):
-            noise[:, i] = gen.standard_normal(ns)
-        for s in range(ns):
-            p *= c_fric
-            p += c_spring * q
-            p += sq * noise[s]
-            q += p * dtm
-            step += 1
-            slot = rec_set.get(step)
-            if slot is not None:
-                record(slot)
+    sums = np.zeros((len(lengths) + 1, 5))
+
+    def record(slot: int, z: np.ndarray) -> None:
+        x, y = z
+        sums[slot] += (x.sum(), y.sum(), (x * x).sum(), (x * y).sum(), (y * y).sum())
+
+    for lo in range(0, cfg.n_trajectories, 500):
+        ids = range(lo, min(lo + 500, cfg.n_trajectories))
+        start = np.zeros((2, len(ids)))
+        table = np.empty((2 * len(lengths), len(ids)))
+        for col, i in enumerate(ids):
+            gen = Generator(Philox(key=[cfg.seed, i]))
+            if root is not None:
+                start[:, col] = gen.standard_normal(2)
+            table[:, col] = gen.standard_normal(2 * len(lengths))
+        z = mean0[:, None] + (root @ start if root is not None else start)
+        record(0, z)
+        for k, n in enumerate(lengths):
+            flow, chol = maps[n]
+            z = flow @ z + chol @ table[2 * k:2 * k + 2]
+            record(k + 1, z)
     return sums
 
 

@@ -150,9 +150,9 @@ class TestClosedForms:
     """The closed-form 2x2 algebra against exact rational arithmetic and ``np.linalg``."""
 
     def test_linalg_only_where_closed_forms_do_not_reach(self):
-        # 2x2 algebra stays in closed form; np.linalg is left to the Monte-Carlo
-        # start's eigh root and to the phase-operator spectrum
-        allowed = {("langevin", "_start_moments"), ("phaseops", "spectrum")}
+        # 2x2 algebra stays in closed form, the Monte-Carlo start's root too;
+        # np.linalg is left to the phase-operator spectrum
+        allowed = {("phaseops", "spectrum")}
         found = set()
         for path in sorted(Path(wigosc.__file__).parent.glob("*.py")):
             for owner, line in _linalg_uses(ast.parse(path.read_text())):
@@ -596,6 +596,22 @@ class TestGaussian2D:
     def test_coherent_state_rejects_bad_centre(self, x0, y0, message):
         with pytest.raises(ValueError, match=message):
             coherent_state(x0, y0)
+
+    @pytest.mark.parametrize("mean, cov, message", [
+        # text used to be parsed into a state
+        (["1", "2"], [["1", "0"], ["0", "1"]], "^mean must hold real numbers"),
+        ([1.0, 2.0], [["1", "0"], ["0", "1"]], "^cov must hold real numbers"),
+        ([1.0, "2"], np.eye(2), "^mean must hold real numbers"),
+        ([1.0 + 0.5j, 2.0], np.eye(2), "^mean must hold real numbers"),
+    ])
+    def test_rejects_text(self, mean, cov, message):
+        with pytest.raises(ValueError, match=message):
+            Gaussian2D(mean, cov)
+
+    def test_integer_and_float32_entries_stored_as_float64(self):
+        state = Gaussian2D([1, 2], np.eye(2, dtype=np.float32))
+        assert state.mean.dtype == state.cov.dtype == np.float64
+        np.testing.assert_array_equal(state.mean, [1.0, 2.0])
 
     def test_degenerate_flagged(self):
         assert Gaussian2D(np.zeros(2), np.zeros((2, 2))).is_degenerate

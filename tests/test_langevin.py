@@ -9,14 +9,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bonferroni_threshold_scipy, run_block_columns, scheme_moments
+from oracles import (bonferroni_threshold_scipy, interval_law, run_interval_columns,
+                     scheme_moments)
 from wigosc import langevin
 from wigosc import (Gaussian2D, ModelParams, ParameterMismatch, PhasePoint, SdeConfig,
                     StepTooLarge, classical_flow, compare_to_propagator, derive,
                     ground_state, propagator, simulate_ensemble)
+
+
+EPS = float(np.finfo(float).eps)
 
 
 def make_params(big_d, big_b, no=None):
@@ -221,11 +226,19 @@ def _layout_cases(counts, steps):
             for i, n in enumerate(counts) for j, ns in enumerate(steps)]
 
 
-_G, _C = langevin._GROUP, langevin._CHUNK
-# group and chunk edges, plus the edges of the earlier block layout (511/513
-# trajectories, 999-1001 steps), which are ordinary cases now
-_LAYOUT_CASES = sorted(set(_layout_cases((1, _G - 1, _G + 1, 4097), (1, _C - 1, _C, _C + 1, 2501))
-                           + _layout_cases((1, 511, 513, 4097), (1, 999, 1000, 1001, 2501))))
+_G, _I = langevin._GROUP, langevin._INTERVALS
+# group edges and the step counts of the earlier chunked layouts (edges at
+# 1000 and 4000 steps), plus draw-table edges: at record_every = 1, 2047 and
+# 2048 steps fill one table, 2049 steps two and 4097 steps three
+_LAYOUT_CASES = sorted(set(_layout_cases((1, _G - 1, _G + 1, 4097), (1, 3999, 4000, 4001, 2501))
+                           + _layout_cases((1, 511, 513, 4097), (1, 999, 1000, 1001, 2501))
+                           + [(_G + 1, _I - 1, "gaussian", 1), (_G - 1, _I, "point", 1),
+                              (_G + 1, _I + 1, "ground", 1), (3, 2 * _I + 1, "gaussian", 1)]))
+# the record-interval lengths of those cases, and of the benchmark's ensemble (320)
+_LENGTHS = sorted({n for _, steps, _, every in _LAYOUT_CASES
+                   for n in np.diff(SdeConfig(dt=0.01, n_steps=steps, n_trajectories=1, seed=0,
+                                              record_every=every).record_indices()).tolist()}
+                  | {320})
 
 
 def _moments(sums, n):
@@ -240,26 +253,73 @@ def _moments(sums, n):
 
 
 class TestNoiseLayout:
+    @pytest.mark.parametrize("length", _LENGTHS)
+    def test_interval_law_matches_step_recursion(self, length):
+        # (A**L, S_L) by doubling, rounded once from double-double, against
+        # the step recursion, whose own rounding is nearly all of the gap:
+        # the worst seen here is 4.9e-15, at L = 320
+        params = ModelParams(mass=1.0, omega=1.0, beta=0.25, theta=1.5)
+        law = langevin._interval_law(langevin._chain_step(params, 0.01), length)
+        flow, noise = interval_law(params, 0.01, length)
+        assert np.max(np.abs(np.reshape(law[:4], (2, 2)) - flow)) <= 1e-14 * np.max(np.abs(flow))
+        s00, s01, s11 = law[4:]
+        cov = np.array([[s00, s01], [s01, s11]])
+        assert np.max(np.abs(cov - noise)) <= 1e-14 * np.max(np.abs(noise))
+        # the draws' factor is the lower Cholesky root of S_L, rank one at L = 1
+        *_, l00, l10, l11 = langevin._interval_map(law)
+        assert l00 > 0.0 and l11 >= 0.0 and (l11 > 0.0) == (length > 1)
+        root = np.array([[l00, 0.0], [l10, l11]])
+        assert np.max(np.abs(root @ root.T - cov)) <= 4 * EPS * np.max(np.abs(cov))
+
     @pytest.mark.parametrize("n, steps, start, record_every", _LAYOUT_CASES)
     def test_block_sums_equal_column_fill_oracle(self, n, steps, start, record_every):
-        # the linear map over each piece of steps reads the same streams as the
-        # stepping loop and sums them in another order: the moments agree to
-        # rounding; the bound is ~20x the worst seen (4.6e-15) over these cases
+        # the groups read the same draws as fresh per-trajectory streams in an
+        # interval-by-interval loop, and sum them in another order, with
+        # (A**L, S_L) by doubling instead of by the step recursion: the
+        # moments agree to rounding
         params = ModelParams(mass=1.0, omega=1.0, beta=0.25, theta=1.5)
         cfg = SdeConfig(dt=0.01, n_steps=steps, n_trajectories=n, seed=77,
                         record_every=record_every)
         report = simulate_ensemble(params, cfg, initial=_STARTS[start])
         mean0, _, root = langevin._start_moments(_STARTS[start])
-        mean, cov = _moments(run_block_columns(params, cfg, mean0, root, cfg.record_indices()), n)
+        mean, cov = _moments(run_interval_columns(params, cfg, mean0, root), n)
         scale = float(np.max(np.abs(mean) + np.sqrt(np.abs(np.diagonal(cov, axis1=1, axis2=2)))))
         assert np.max(np.abs(report.mean - mean)) <= 1e-13 * scale
         assert np.max(np.abs(report.cov - cov)) <= 1e-13 * scale ** 2
 
+    @pytest.mark.parametrize("seed", [0, 77, 2 ** 63 - 1])
+    def test_stream_reset_equals_fresh_generator(self, seed):
+        # one generator reset per trajectory draws what a fresh one draws, from
+        # any stream position, a half-used buffer and a cached 32-bit word too
+        bitgen = Philox(key=[1, 2])
+        gen = Generator(bitgen)
+        reset = langevin._stream_reset(bitgen, seed)
+        for index in (0, 1, _G - 1, _G, 10 ** 6, 2 ** 63 - 1):
+            gen.standard_normal(3)
+            gen.integers(0, 7, dtype=np.uint32)
+            reset(index)
+            fresh = Generator(Philox(key=[seed, index]))
+            assert np.array_equal(gen.standard_normal(9), fresh.standard_normal(9)), index
+
+    def test_start_root_squares_to_the_covariance(self):
+        # the closed-form principal root, at unit, tiny and huge scales, and
+        # for singular and zero covariances
+        for cov in ([[1.3, 0.4], [0.4, 0.8]], [[0.5, 0.0], [0.0, 0.5]], [[1.0, 1.0], [1.0, 1.0]],
+                    [[4.0, -2.0], [-2.0, 1.0]], [[0.0, 0.0], [0.0, 2.0]], [[0.0, 0.0], [0.0, 0.0]],
+                    [[1e-300, 0.0], [0.0, 1e-300]], [[3e-310, 1e-310], [1e-310, 2e-310]],
+                    [[1e300, 5e299], [5e299, 1e300]]):
+            cov = np.array(cov)
+            root = langevin._sqrt_psd(cov)
+            assert np.array_equal(root, root.T)
+            # subnormal products keep only an absolute accuracy of a few 5e-324
+            tol = 8 * EPS * np.max(np.abs(cov)) + 4 * 5e-324
+            assert np.max(np.abs(root @ root.T - cov)) <= tol, cov
+
     def test_noise_free_mean_follows_the_chain(self):
-        # A**L composes across chunk ends (4000, 8000) and record steps (every
-        # 7th); the fixed kernel's rounding adds up over 1143 pieces to 5.4e-14
+        # A**7 composes over 1143 record intervals and a last one of 2 steps;
+        # the map's rounding adds up over them
         params = ModelParams(mass=1.0, omega=1.0, beta=0.25, mu=0.0)
-        cfg = SdeConfig(dt=0.01, n_steps=2 * _C + 3, n_trajectories=3, seed=4, record_every=7)
+        cfg = SdeConfig(dt=0.01, n_steps=8003, n_trajectories=3, seed=4, record_every=7)
         report = simulate_ensemble(params, cfg, initial=PhasePoint(1.0, 0.5))
         mean, steps = np.array([1.0, 0.5]), 0
         for k, step in enumerate(cfg.record_indices()):
@@ -277,7 +337,7 @@ class TestNoiseLayout:
         assert other.digest() == report.digest()
 
 
-_GOLDEN_DIGEST = "214a7834a93a20924122fd4dfdcbf79b7769df6a673dd3c02411754e4c95b5ba"
+_GOLDEN_DIGEST = "48a826e99149f865da8c596dd10d45f7a68245c6139be1479131759970277d4b"
 
 
 def _golden_report(threads):
@@ -300,8 +360,9 @@ class TestDeterminism:
             assert _golden_report(threads).digest() == _GOLDEN_DIGEST
 
     def test_golden_digest_under_either_blas_pool(self):
-        # the pieces' products run in BLAS; its own thread count is read once,
-        # at numpy's import, so each setting needs a fresh interpreter
+        # the ensemble makes no BLAS call, so no BLAS thread count can move the
+        # digest; BLAS reads its thread count once, at numpy's import, so each
+        # setting needs a fresh interpreter
         blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {})
         name = blas.get("blas", {}).get("name", "")
         if "openblas" not in name:
@@ -402,7 +463,7 @@ class TestComparison:
         report = simulate_ensemble(params, cfg, initial=_CORRELATED)
         z = compare_to_propagator(report, derive(params)).z_scores
         assert hashlib.sha256(z.tobytes()).hexdigest() == (
-            "be1971500583029d4c2c1c1c9412722240d6e1a50c093ec6d4b29b377358a5f7")
+            "744ef6ac20214a889f273e51480dea3d5f8dfd1b2c86cb3c1f705d1f348c374a")
 
     def test_zscore_layout(self, clean_run):
         params, report = clean_run
