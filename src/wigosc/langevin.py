@@ -23,10 +23,10 @@ interval, in time order.  Trajectories are processed in groups of a fixed
 size, and group partial sums are merged in index order.  The ensemble makes
 no BLAS call: the interval maps are rational arithmetic rounded to floats,
 and the update and the sums are numpy's elementwise operations and
-reductions.  Results are therefore bit-identical across runs, worker-thread
-counts and BLAS thread settings.  The groups run on one worker thread per
-CPU the process may use (``taskset`` limits them) unless :class:`SdeConfig`
-names a count.
+reductions.  Results are therefore bit-identical across runs and BLAS
+thread settings.  The groups run one after another on the calling thread:
+each trajectory's draws are a few short numpy calls that hold the GIL, so
+worker threads would only take turns.
 
 The one-step method is the semi-implicit (symplectic) Euler-Maruyama update:
 the momentum kick uses the old position, the position drift the new momentum.
@@ -44,9 +44,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from time import perf_counter
@@ -67,9 +65,9 @@ __all__ = [
 ]
 
 # Trajectories per group, and record intervals per draw table: a group draws
-# at most a (_GROUP, _INTERVALS, 2) table (8 MB) at a time.  Both are fixed:
-# the group fixes the reduction order, and each stream is read in the same
-# order however its draws are split between tables.
+# at most a (_GROUP, _INTERVALS, 2) table (8 MB), and the start pairs, at a
+# time.  Both are fixed: the group fixes the reduction order, and each stream
+# is read in the same order however its draws are split between tables.
 _GROUP = 256
 _INTERVALS = 2048
 
@@ -79,9 +77,10 @@ class SdeConfig:
     """Discretisation and ensemble-size choices for one simulation.
 
     ``record_every`` selects the moment-output stride in steps (0 picks
-    about 25 outputs; the final step is always recorded).  ``threads`` is the
-    worker-thread count; 0 takes one per CPU the process may run on, which
-    ``taskset`` limits.  No count changes a result.
+    about 25 outputs; the final step is always recorded).  ``threads`` is
+    validated but has no effect: the ensemble runs on the calling thread.
+    The field stays because callers that name a thread count, such as the
+    benchmark's per-thread-count rows, still build configs with it.
     """
 
     dt: float
@@ -114,8 +113,7 @@ class MomentReport:
 
     ``noise_s`` is the seconds spent resetting the streams and drawing the
     noise, ``step_s`` those spent applying the interval maps and summing the
-    records, both summed over groups (so across threads they can add up
-    to more than the wall time).  They are cost records, not results:
+    records, both summed over groups.  They are cost records, not results:
     :meth:`digest` leaves them out.
     """
 
@@ -275,7 +273,6 @@ def _run_group(group: int, cfg: SdeConfig, mean0: np.ndarray, root: np.ndarray |
     bitgen = Philox(key=[cfg.seed, lo])
     gen = Generator(bitgen)
     reset = _stream_reset(bitgen, cfg.seed)
-    start = np.empty((ng, 2))
     saved = [None] * ng  # stream positions between draw tables
     sums = np.zeros((len(maps) + 1, 5))
     noise_s = step_s = 0.0
@@ -284,29 +281,31 @@ def _run_group(group: int, cfg: SdeConfig, mean0: np.ndarray, root: np.ndarray |
         sums[slot] = (x.sum(), y.sum(), (x * x).sum(), (x * y).sum(), (y * y).sum())
 
     for first in range(0, len(maps), _INTERVALS):
-        table = np.empty((ng, min(_INTERVALS, len(maps) - first), 2))
+        width = min(_INTERVALS, len(maps) - first)
+        # the first table leads with the start pair, so each stream is one draw call
+        lead = 2 if first == 0 and root is not None else 0
+        draws = np.empty((ng, lead + 2 * width))
         more = first + _INTERVALS < len(maps)
-        for i, row in enumerate(table):
+        for i, row in enumerate(draws):
             if first == 0:
                 reset(lo + i)
-                if root is not None:
-                    gen.standard_normal(out=start[i])
             else:
                 bitgen.state = saved[i]
             gen.standard_normal(out=row)
             if more:
                 saved[i] = bitgen.state
+        table = draws[:, lead:].reshape(ng, width, 2)
         t1 = perf_counter()
         noise_s += t1 - t0
         if first == 0:
             if root is None:
                 x, y = np.full(ng, mean0[0]), np.full(ng, mean0[1])
             else:
-                u, v = start[:, 0], start[:, 1]
+                u, v = draws[:, 0], draws[:, 1]
                 x = mean0[0] + root[0, 0] * u + root[0, 1] * v
                 y = mean0[1] + root[1, 0] * u + root[1, 1] * v
             record(0)
-        for j, (p00, p01, p10, p11, l00, l10, l11) in enumerate(maps[first:first + table.shape[1]]):
+        for j, (p00, p01, p10, p11, l00, l10, l11) in enumerate(maps[first:first + width]):
             u, v = table[:, j, 0], table[:, j, 1]
             x, y = p00 * x + p01 * y + l00 * u, p10 * x + p11 * y + l10 * u + l11 * v
             record(first + j + 1)
@@ -351,20 +350,14 @@ def simulate_ensemble(params: ModelParams, cfg: SdeConfig,
     lengths = np.diff(rec_idx).tolist()
     per_length = {n: _interval_map(_interval_law(step, n)) for n in set(lengths)}
     maps = [per_length[n] for n in lengths]
-    n_groups = -(-cfg.n_trajectories // _GROUP)
-    threads = cfg.threads or (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                              else os.cpu_count() or 1)
 
     sums = np.zeros((len(rec_idx), 5))
     noise_s = step_s = 0.0
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        # map yields in group order, so the merge order is fixed
-        for part, group_noise_s, group_step_s in pool.map(
-                lambda g: _run_group(g, cfg, mean0, root, maps),
-                range(n_groups)):
-            sums += part
-            noise_s += group_noise_s
-            step_s += group_step_s
+    for group in range(-(-cfg.n_trajectories // _GROUP)):  # merged in index order
+        part, group_noise_s, group_step_s = _run_group(group, cfg, mean0, root, maps)
+        sums += part
+        noise_s += group_noise_s
+        step_s += group_step_s
 
     n = cfg.n_trajectories
     bessel = n / (n - 1.0) if n > 1 else 1.0

@@ -229,7 +229,7 @@ def test_criterion_9_determinism(tmp_path, monkeypatch):
     args = ["validate", "--trajectories", "8192", "--tmax", "20",
             "--dt-sim", "0.01", "--seed", "424242"]
     payloads = []
-    # the ensemble runs one worker per CPU in the affinity mask
+    # the ensemble runs on the calling thread, whatever the affinity mask holds
     for label, threads in (("a", 1), ("b", 4), ("c", 1)):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, k=threads: set(range(k)),
                             raising=False)

@@ -191,7 +191,7 @@ class TestValidateCommand:
 
 class TestThreadEnvironment:
     def test_thread_count_does_not_change_output(self, tmp_path, monkeypatch):
-        # the ensemble runs one worker per CPU in the affinity mask
+        # the ensemble runs on the calling thread, whatever the affinity mask holds
         outs = []
         for threads in (1, 4):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, k=threads: set(range(k)),

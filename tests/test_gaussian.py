@@ -120,13 +120,21 @@ def _environment_reads(tree):
 
 
 def test_no_module_reads_the_environment():
-    # the package's only settings are its arguments: the worker-thread count
-    # comes from the CPU affinity mask, not from a variable
+    # the package's only settings are its arguments
     reads = {path.name: lines for path in Path(wigosc.__file__).parent.glob("*.py")
              if (lines := _environment_reads(ast.parse(path.read_text())))}
     assert reads == {}
     probe = "import os\nos.environ.get('X')\nos.getenv('Y')\nfrom os import environ"
     assert sorted(_environment_reads(ast.parse(probe))) == [2, 3, 4]
+
+
+def test_langevin_imports_no_thread_pool():
+    # the ensemble runs on the calling thread: no worker pool, no CPU count
+    tree = ast.parse(Path(wigosc.langevin.__file__).read_text())
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names}
+    assert not imported & {"os", "concurrent.futures"}
 
 
 def _argument_checks(tree):

@@ -4,7 +4,7 @@ import math
 import os
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -67,20 +67,17 @@ class TestConfig:
             dataclasses.replace(cfg, threads=raw)
         simulate_ensemble(make_params(1.0, 0.1), dataclasses.replace(cfg, threads=2))
 
-    @pytest.mark.parametrize("threads, cpus, workers", [(0, 3, 3), (0, 1, 1), (2, 3, 2)])
-    def test_default_threads_follow_the_usable_cpus(self, monkeypatch, threads, cpus, workers):
-        # threads = 0 takes one worker per CPU in the affinity mask, as taskset sets it
-        seen = []
+    def test_ensemble_starts_no_thread(self, monkeypatch):
+        # the groups run on the calling thread, whatever thread count the
+        # config names; three groups, so a pool would have work to hand out
+        def refuse(thread):
+            raise AssertionError(f"simulate_ensemble started {thread.name}")
 
-        def pool(max_workers):
-            seen.append(max_workers)
-            return ThreadPoolExecutor(max_workers=max_workers)
-
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        monkeypatch.setattr(langevin, "ThreadPoolExecutor", pool)
-        cfg = SdeConfig(dt=0.01, n_steps=10, n_trajectories=2, seed=1, threads=threads)
-        simulate_ensemble(make_params(1.0, 0.1), cfg)
-        assert seen == [workers]
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        base = dict(dt=0.01, n_steps=10, n_trajectories=600, seed=1)
+        digests = {simulate_ensemble(make_params(1.0, 0.1), SdeConfig(threads=threads, **base)).digest()
+                   for threads in (0, 1, 3)}
+        assert len(digests) == 1
 
     def test_sequence_start_rejected(self):
         cfg = SdeConfig(dt=0.01, n_steps=10, n_trajectories=2, seed=1)
