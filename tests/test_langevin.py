@@ -79,6 +79,24 @@ class TestConfig:
                    for threads in (0, 1, 3)}
         assert len(digests) == 1
 
+    @pytest.mark.parametrize("threads, cpus, workers", [(0, 3, 3), (0, 1, 1), (2, 3, 2)])
+    def test_default_threads_follow_the_usable_cpus(self, monkeypatch, threads, cpus, workers):
+        # threads = 0 used to take one worker per CPU in the affinity mask;
+        # now no thread count follows the mask: with `cpus` CPUs usable, the
+        # mask is never read and `threads` gives the bits of the `workers`
+        # threads the removed pool would have taken
+        seen = []
+
+        def mask(pid):
+            seen.append(pid)
+            return set(range(cpus))
+
+        monkeypatch.setattr(os, "sched_getaffinity", mask, raising=False)
+        base = dict(dt=0.01, n_steps=10, n_trajectories=600, seed=1)
+        digests = [simulate_ensemble(make_params(1.0, 0.1), SdeConfig(threads=n, **base)).digest()
+                   for n in (threads, workers)]
+        assert seen == [] and digests[0] == digests[1]
+
     def test_sequence_start_rejected(self):
         cfg = SdeConfig(dt=0.01, n_steps=10, n_trajectories=2, seed=1)
         with pytest.raises(TypeError, match="PhasePoint"):
