@@ -12,21 +12,25 @@ moves by ``z <- A**L z + e`` with ``e ~ N(0, S_L)``,
 state and of every other interval.  So each interval draws two normals
 ``(u, v)`` and applies ``e = chol(S_L) (u, v)``: the recorded states have
 exactly the joint law that stepping the chain one step at a time samples.
-``(A**L, S_L)`` come by binary doubling, once per distinct ``L``, and a
-group draws its pairs at most ``_INTERVALS`` intervals at a time; the
-update is elementwise over the trajectories of a group.
+``(A**L, S_L)`` come by binary doubling, once per distinct ``L``.  Up to
+``_WIDE`` groups of trajectories step as one array, a block, no wider than
+keeps its draw table within ``_GROUP * _INTERVALS`` pairs: the update is
+elementwise over the block, and one reduction sums each record's products
+group by group.
 
 Reproducibility contract: every trajectory owns a counter-based Philox
 stream keyed by ``(seed, trajectory_index)`` and read in a fixed order: the
 start pair (random starts only), then one ``(u, v)`` pair per record
 interval, in time order.  Trajectories are processed in groups of a fixed
-size, and group partial sums are merged in index order.  The ensemble makes
-no BLAS call: the interval maps are rational arithmetic rounded to floats,
-and the update and the sums are numpy's elementwise operations and
-reductions.  Results are therefore bit-identical across runs and BLAS
-thread settings.  The groups run one after another on the calling thread:
-each trajectory's draws are a few short numpy calls that hold the GIL, so
-worker threads would only take turns.
+size, and group partial sums are merged in index order, however many
+groups a block holds; a ragged last group is summed at its own length, as
+padding it would move the split of its pairwise sum.  The ensemble makes no
+BLAS call: the interval maps are rational arithmetic rounded to floats, and
+the update and the sums are numpy's elementwise operations and reductions.
+Results are therefore bit-identical across runs and BLAS thread settings.
+The blocks run one after another on the calling thread: each trajectory's
+draws are a few short numpy calls that hold the GIL, so worker threads
+would only take turns.
 
 The one-step method is the semi-implicit (symplectic) Euler-Maruyama update:
 the momentum kick uses the old position, the position drift the new momentum.
@@ -64,11 +68,15 @@ __all__ = [
     "compare_to_propagator",
 ]
 
-# Trajectories per group, and record intervals per draw table: a group draws
-# at most a (_GROUP, _INTERVALS, 2) table (8 MB), and the start pairs, at a
-# time.  Both are fixed: the group fixes the reduction order, and each stream
-# is read in the same order however its draws are split between tables.
+# Trajectories per group, most groups per block, and record intervals per
+# draw table.  A block of k groups steps as one array; k shrinks as the
+# intervals grow (16 up to 128, one past 1024), so no draw table holds more
+# than _GROUP * _INTERVALS pairs (8 MB), and no stream state is saved for
+# the width.  The group fixes the reduction order, and each stream is read in
+# the same order however its draws are split, so neither k nor the table
+# edges move a bit.
 _GROUP = 256
+_WIDE = 16
 _INTERVALS = 2048
 
 
@@ -113,7 +121,8 @@ class MomentReport:
 
     ``noise_s`` is the seconds spent resetting the streams and drawing the
     noise, ``step_s`` those spent applying the interval maps and summing the
-    records, both summed over groups.  They are cost records, not results:
+    records, both summed over the blocks of up to 16 groups that step as one
+    array.  They are cost records, not results:
     :meth:`digest` leaves them out.
     """
 
@@ -257,34 +266,42 @@ def _stream_reset(bitgen: Philox, seed: int):
     return reset
 
 
-def _run_group(group: int, cfg: SdeConfig, mean0: np.ndarray, root: np.ndarray | None,
+def _run_block(lo: int, nb: int, cfg: SdeConfig, mean0: np.ndarray, root: np.ndarray | None,
                maps: list[tuple[float, ...]]) -> tuple[np.ndarray, float, float]:
-    """Simulate one group of trajectories; return ``(sums, noise_s, step_s)``.
+    """Simulate trajectories ``lo .. lo + nb - 1`` as one array; return ``(sums, noise_s, step_s)``.
 
     ``maps`` holds each record interval's :func:`_interval_map`, in time
-    order.  ``sums`` is (nout, 5) with column order X, y, X*X, X*y, y*y,
-    summed over the group's trajectories.  ``noise_s`` is the seconds spent
-    resetting the streams and drawing the noise, ``step_s`` those spent
-    applying the interval maps and summing the records.
+    order.  ``sums`` is (nout, 5, groups): column order X, y, X*X, X*y, y*y,
+    summed over each group's trajectories, the last group at its own length.
+    ``noise_s`` is the seconds spent resetting the streams and drawing the
+    noise, ``step_s`` those spent applying the interval maps and summing the
+    records.
     """
     t0 = perf_counter()
-    lo = group * _GROUP
-    ng = min(_GROUP, cfg.n_trajectories - lo)
     bitgen = Philox(key=[cfg.seed, lo])
     gen = Generator(bitgen)
     reset = _stream_reset(bitgen, cfg.seed)
-    saved = [None] * ng  # stream positions between draw tables
-    sums = np.zeros((len(maps) + 1, 5))
+    saved = [None] * nb  # stream positions between draw tables
+    rec = np.empty((5, nb))  # the record's X, y, X*X, X*y, y*y
+    x, y = rec[0], rec[1]
+    full, ragged = divmod(nb, _GROUP)
+    whole, rest = rec[:, :full * _GROUP].reshape(5, full, _GROUP), rec[:, full * _GROUP:]
+    sums = np.zeros((len(maps) + 1, 5, full + (ragged > 0)))
     noise_s = step_s = 0.0
 
     def record(slot: int) -> None:
-        sums[slot] = (x.sum(), y.sum(), (x * x).sum(), (x * y).sum(), (y * y).sum())
+        np.multiply(x, x, out=rec[2])
+        np.multiply(x, y, out=rec[3])
+        np.multiply(y, y, out=rec[4])
+        whole.sum(axis=2, out=sums[slot, :, :full])
+        if ragged:
+            rest.sum(axis=1, out=sums[slot, :, full])
 
     for first in range(0, len(maps), _INTERVALS):
         width = min(_INTERVALS, len(maps) - first)
         # the first table leads with the start pair, so each stream is one draw call
         lead = 2 if first == 0 and root is not None else 0
-        draws = np.empty((ng, lead + 2 * width))
+        draws = np.empty((nb, lead + 2 * width))
         more = first + _INTERVALS < len(maps)
         for i, row in enumerate(draws):
             if first == 0:
@@ -294,20 +311,20 @@ def _run_group(group: int, cfg: SdeConfig, mean0: np.ndarray, root: np.ndarray |
             gen.standard_normal(out=row)
             if more:
                 saved[i] = bitgen.state
-        table = draws[:, lead:].reshape(ng, width, 2)
+        table = draws[:, lead:].reshape(nb, width, 2)
         t1 = perf_counter()
         noise_s += t1 - t0
         if first == 0:
             if root is None:
-                x, y = np.full(ng, mean0[0]), np.full(ng, mean0[1])
+                x[:], y[:] = mean0
             else:
                 u, v = draws[:, 0], draws[:, 1]
-                x = mean0[0] + root[0, 0] * u + root[0, 1] * v
-                y = mean0[1] + root[1, 0] * u + root[1, 1] * v
+                x[:] = mean0[0] + root[0, 0] * u + root[0, 1] * v
+                y[:] = mean0[1] + root[1, 0] * u + root[1, 1] * v
             record(0)
         for j, (p00, p01, p10, p11, l00, l10, l11) in enumerate(maps[first:first + width]):
             u, v = table[:, j, 0], table[:, j, 1]
-            x, y = p00 * x + p01 * y + l00 * u, p10 * x + p11 * y + l10 * u + l11 * v
+            x[:], y[:] = p00 * x + p01 * y + l00 * u, p10 * x + p11 * y + l10 * u + l11 * v
             record(first + j + 1)
         t0 = perf_counter()
         step_s += t0 - t1
@@ -351,15 +368,18 @@ def simulate_ensemble(params: ModelParams, cfg: SdeConfig,
     per_length = {n: _interval_map(_interval_law(step, n)) for n in set(lengths)}
     maps = [per_length[n] for n in lengths]
 
+    n = cfg.n_trajectories
+    # trajectories per block; a block is stepped as one array
+    block = _GROUP * max(1, min(_WIDE, _INTERVALS // len(maps)))
     sums = np.zeros((len(rec_idx), 5))
     noise_s = step_s = 0.0
-    for group in range(-(-cfg.n_trajectories // _GROUP)):  # merged in index order
-        part, group_noise_s, group_step_s = _run_group(group, cfg, mean0, root, maps)
-        sums += part
-        noise_s += group_noise_s
-        step_s += group_step_s
+    for lo in range(0, n, block):
+        parts, block_noise_s, block_step_s = _run_block(lo, min(block, n - lo), cfg, mean0, root, maps)
+        for g in range(parts.shape[2]):  # merged in group order
+            sums += parts[:, :, g]
+        noise_s += block_noise_s
+        step_s += block_step_s
 
-    n = cfg.n_trajectories
     bessel = n / (n - 1.0) if n > 1 else 1.0
     moments = sums / n  # raw moments, made central in place, in _COMPONENTS order
     mean = moments[:, :2]

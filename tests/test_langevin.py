@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -369,10 +370,61 @@ class TestDeterminism:
         Equal digests across thread counts do not show that a later version
         still draws the same numbers; this literal does.  Changing it is a
         declared contract change of the Monte-Carlo streams (ROADMAP item
-        4(c)) that CHANGES.md must state and justify, not a value to refresh.
+        11) that CHANGES.md must state and justify, not a value to refresh.
         """
         for threads in (1, 3):
             assert _golden_report(threads).digest() == _GOLDEN_DIGEST
+
+    @pytest.mark.parametrize("n, steps, record_every, digest", [
+        # a ragged last group of 200 in a block of its own after one of 16
+        # groups; one of 255, alone; one of 255 closing a 16-group block; one
+        # of 200, alone
+        (4296, 400, 0, "81b4fcb468c043a8e5ef122ce061c77043e0752275b2586feb2c6542f7a7beff"),
+        (255, 300, 7, "0795f69b32390edf0ee69742fe83cf249e7579b3f7ef3d5cf35296e0f7cf9ab3"),
+        (4095, 300, 0, "bd9cd8a71a739aa2c0c7420ff4fcc48564c3c3c343be8827c89b54f94cad2910"),
+        (200, 300, 0, "b6a3f943e286a390dbf3d2ebb9605ba8eb28284ff41a6c41375420732e2a0287"),
+        # five blocks, a ragged group of 29; 12-group blocks, a ragged group
+        # of 129; one-group blocks over two draw tables, a ragged group of 130
+        (19997, 800, 0, "132f6dfaa8d7dc8a32403178242916d9809595898f1537019c44c1e54bbf19e5"),
+        (4225, 160, 1, "9264c52b683f5fd872eebca5b00efe8fb37db0ca438e687218d7b6dd654c8a1e"),
+        (130, 3000, 1, "d16d72c40af70fe7c546107dfe1ec21e03d29e21f47e8d9a4619d8e5550244dc"),
+        # the block width switches: 16 groups at 128 intervals, 15 at 129,
+        # one at 2048 (one table) and 2049 (two tables)
+        (4296, 128, 1, "fd0cf80e12242e5d40c0cd16cad3d59265d7e102f498d00f578b5f2229e58467"),
+        (4296, 129, 1, "34e20cda4fe5b66d2b6cb06541aee6e0180e5f5ea25adb094e52a49e64eedc12"),
+        (4296, 2048, 1, "7c744dc829e24712f177bf15a86ecd5c8adc09bff03124c7ac65e33bee300bac"),
+        (4296, 2049, 1, "cc70982c5b8f3d345853fb50c9fcd8097003b71f96800a3a2c73df364b45bdff"),
+    ])
+    def test_block_layout_digest(self, n, steps, record_every, digest):
+        """Stepping many groups as one array keeps each group's sums and their merge order.
+
+        Each literal was recorded when every group was stepped on its own.  A
+        ragged last group of more than 128 trajectories, summed padded to a
+        full group, moves the digest: its pairwise sum splits elsewhere.
+        """
+        params = ModelParams.from_dimensionless(5.0, 0.25)
+        cfg = SdeConfig(dt=0.005, n_steps=steps, n_trajectories=n, seed=12345,
+                        record_every=record_every)
+        assert simulate_ensemble(params, cfg, initial=_CORRELATED).digest() == digest
+
+    @pytest.mark.parametrize("n, steps, record_every, limit_mib", [
+        (20000, 8000, 0, 4.0),            # validate's ensemble
+        (4097, 4000, 1, 1.05 * 16.43),    # one-group blocks, two draw tables
+    ], ids=["validate", "one-group-blocks"])
+    def test_peak_memory(self, n, steps, record_every, limit_mib):
+        # wide blocks must not buy speed with table memory: a draw table keeps
+        # at most _INTERVALS intervals of _GROUP rows (8 MB); tracing makes the
+        # second case ~8x slower than an untraced run
+        params = ModelParams.from_dimensionless(5.0, 0.25)
+        cfg = SdeConfig(dt=0.005, n_steps=steps, n_trajectories=n, seed=20240817,
+                        record_every=record_every)
+        tracemalloc.start()
+        try:
+            simulate_ensemble(params, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit_mib * 2 ** 20, peak / 2 ** 20
 
     def test_golden_digest_under_either_blas_pool(self):
         # the ensemble makes no BLAS call, so no BLAS thread count can move the

@@ -639,7 +639,7 @@ class TestKernelsMatchGatheredForms:
             assert (got.value, got.tail_bound, got.terms) == (want.value, want.tail_bound, want.terms)
 
     @pytest.mark.xfail(strict=True, reason="log c_j is the difference of two large gammaln "
-                       "values (2.5e-10 off at j = 4e5); ROADMAP item 6")
+                       "values (2.5e-10 off at j = 4e5); ROADMAP item 7")
     def test_log_c_deep_within_a_few_eps(self):
         mpmath = pytest.importorskip("mpmath")
         j = 400_000
