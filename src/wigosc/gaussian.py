@@ -247,14 +247,30 @@ def propagator(d: DerivedParams, t: float) -> PropagatorKernel:
                             cov_physical=np.array([[e2 * q_bb, q_ab], [q_ab, q_aa / e2]]))
 
 
-def _push(mean: np.ndarray, cov: np.ndarray, d: DerivedParams,
-          t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Physical-frame moments ``(F m0, F C0 F^T + cov_physical)`` at ``t`` of the start ``(m0, C0)``.
+def _compose(first: tuple, then: tuple) -> tuple:
+    """The map of ``first = (P', S')`` followed by ``then = (P, S)``: ``(P P', P S' P^T + S)``."""
+    a00, a01, a10, a11, r00, r01, r11 = first
+    p00, p01, p10, p11, s00, s01, s11 = then
+    t00, t01 = p00 * r00 + p01 * r01, p00 * r01 + p01 * r11  # P S'
+    t10, t11 = p10 * r00 + p11 * r01, p10 * r01 + p11 * r11
+    return (p00 * a00 + p01 * a10, p00 * a01 + p01 * a11,
+            p10 * a00 + p11 * a10, p10 * a01 + p11 * a11,
+            t00 * p00 + t01 * p01 + s00, t00 * p10 + t01 * p11 + s01,
+            t10 * p10 + t11 * p11 + s11)
 
-    The covariance is the raw product: a correlated start's off-diagonals can round apart.
+
+def _push(mean: np.ndarray, cov: np.ndarray, d: DerivedParams,
+          t: float) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Physical moments ``(F m0, F C0 F^T + cov_physical)`` at ``t`` of ``(m0, C0)``, and ``F``'s rows.
+
+    ``(I, C0)`` then the kernel, composed by :func:`_compose` in floats: no BLAS kernel rounds it.
     """
-    kern = propagator(d, t)
-    return kern.flow @ mean, kern.flow @ cov @ kern.flow.T + kern.cov_physical
+    kern, ((c00, c01), (_, c11)), (m0, m1) = propagator(d, t), cov.tolist(), mean.tolist()
+    (q00, q01), (_, q11) = kern.cov_physical.tolist()
+    f00, f01, f10, f11, s00, s01, s11 = _compose((1.0, 0.0, 0.0, 1.0, c00, c01, c11),
+                                                 (*kern.flow.ravel().tolist(), q00, q01, q11))
+    return (np.array([f00 * m0 + f01 * m1, f10 * m0 + f11 * m1]),
+            np.array([[s00, s01], [s01, s11]]), ((f00, f01), (f10, f11)))
 
 
 def evolve(state: Gaussian2D, d: DerivedParams, t: float) -> Gaussian2D:
@@ -266,10 +282,10 @@ def evolve(state: Gaussian2D, d: DerivedParams, t: float) -> Gaussian2D:
     overflows a float (``beta*t`` past ~340-355, by ``D``) this raises ``ValueError``.
     """
     t = _check_real("time t", t)
-    flow, cov = _push(np.eye(2), state.cov, d, t)  # the unit vectors push to F itself
-    _, cov = _stretch_x(flow @ state.mean, cov, d.beta * t)  # raises on overflow
+    mean, cov, flow = _push(state.mean, state.cov, d, t)
+    _, cov = _stretch_x(mean, cov, d.beta * t)  # raises on overflow
     # one rounding: F m0 rounded, then stretched, carries s-fold a cancelling sum's error
-    m, rows = state.mean.tolist(), zip((math.exp(d.beta * t), 1.0), flow.tolist())
+    m, rows = state.mean.tolist(), zip((math.exp(d.beta * t), 1.0), flow)
     return Gaussian2D(np.array([_round_once(k, *row, *m) for k, row in rows]), cov)
 
 

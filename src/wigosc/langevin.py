@@ -1,9 +1,10 @@
 """Monte-Carlo integration of the damped, noise-driven oscillator.
 
-This is the independent validation path for the Gaussian engine: it never
-touches the analytic covariance algebra.  Trajectories of the dimensionless
-physical pair ``(X, y)`` are advanced by a low-order stochastic one-step
-method and reduced to moments at the record steps.
+This is the independent validation path for the Gaussian engine: it reads
+no analytic kernel (only :func:`compare_to_propagator` does) and shares with
+the engine only its map algebra, ``gaussian._compose``.  Trajectories of the
+dimensionless physical pair ``(X, y)`` are advanced by a low-order stochastic
+one-step method and reduced to moments at the record steps.
 
 Noise layout: the step is linear, ``z' = A z + b xi``, and only the record
 steps are reported.  Over the ``L`` steps between two records a trajectory
@@ -57,7 +58,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import ParameterMismatch, StepTooLarge, _check_int, _check_real
-from .gaussian import Gaussian2D, _det, _push, ground_state
+from .gaussian import Gaussian2D, _compose, _det, _push, ground_state
 from .model import DerivedParams, ModelParams, PhasePoint
 
 __all__ = [
@@ -195,18 +196,6 @@ def _chain_step(params: ModelParams, dt: float) -> tuple[float, ...]:
     return c, -h, h * c, 1.0 - h * h, b0 * b0, b0 * b1, b1 * b1
 
 
-def _compose(first: tuple, then: tuple) -> tuple:
-    """The map of ``first = (P', S')`` followed by ``then = (P, S)``: ``(P P', P S' P^T + S)``."""
-    a00, a01, a10, a11, r00, r01, r11 = first
-    p00, p01, p10, p11, s00, s01, s11 = then
-    t00, t01 = p00 * r00 + p01 * r01, p00 * r01 + p01 * r11  # P S'
-    t10, t11 = p10 * r00 + p11 * r01, p10 * r01 + p11 * r11
-    return (p00 * a00 + p01 * a10, p00 * a01 + p01 * a11,
-            p10 * a00 + p11 * a10, p10 * a01 + p11 * a11,
-            t00 * p00 + t01 * p01 + s00, t00 * p10 + t01 * p11 + s01,
-            t10 * p10 + t11 * p11 + s11)
-
-
 def _double_double(law: tuple) -> tuple:
     """Each rational entry of ``law`` rounded to ``hi + lo``, two floats (about 106 bits)."""
     out = []
@@ -287,6 +276,8 @@ def _run_block(lo: int, nb: int, cfg: SdeConfig, mean0: np.ndarray, root: np.nda
     full, ragged = divmod(nb, _GROUP)
     whole, rest = rec[:, :full * _GROUP].reshape(5, full, _GROUP), rec[:, full * _GROUP:]
     sums = np.zeros((len(maps) + 1, 5, full + (ragged > 0)))
+    # one buffer for the draw tables, each filling a leading slice of it
+    buffer = np.empty((nb, 2 * (root is not None) + 2 * min(_INTERVALS, len(maps))))
     noise_s = step_s = 0.0
 
     def record(slot: int) -> None:
@@ -301,7 +292,7 @@ def _run_block(lo: int, nb: int, cfg: SdeConfig, mean0: np.ndarray, root: np.nda
         width = min(_INTERVALS, len(maps) - first)
         # the first table leads with the start pair, so each stream is one draw call
         lead = 2 if first == 0 and root is not None else 0
-        draws = np.empty((nb, lead + 2 * width))
+        draws = buffer[:, :lead + 2 * width]
         more = first + _INTERVALS < len(maps)
         for i, row in enumerate(draws):
             if first == 0:
@@ -453,7 +444,7 @@ def compare_to_propagator(report: MomentReport, d: DerivedParams,
     n = report.n_trajectories
     if n < 2:
         raise ValueError(f"comparison needs at least 2 trajectories, got {n}")
-    mean_a, cov_a = map(np.array, zip(*(_push(report.initial_mean, report.initial_cov, d, float(t))
+    mean_a, cov_a = map(np.array, zip(*(_push(report.initial_mean, report.initial_cov, d, float(t))[:2]
                                         for t in report.times)))
     predicted = _moments(mean_a, cov_a)
     diff = _moments(report.mean, report.cov) - predicted

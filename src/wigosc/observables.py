@@ -99,8 +99,7 @@ def _angle_profile(mean: np.ndarray, cov: np.ndarray):
     Returns ``(profile, norm)`` with ``norm * integral(f(phi) * profile(phi) dphi)
     = E[f(angle)]``: with ``q = u^T C^{-1} u``, the radial integral
     ``int_0^inf R * rho(R*u(phi)) dR`` is ``1/q(phi)`` plus an erf term in the mean,
-    routed through ``erfcx`` so nothing overflows.  ``C`` takes the mean of ``cov``'s
-    two off-diagonals, which a pushed correlated start rounds apart.
+    routed through ``erfcx`` so nothing overflows.
 
     A point or rank-1 state raises ``ValueError``, judged at the state's own scale as
     by ``Gaussian2D.is_degenerate``.  The profile itself is built from
@@ -112,18 +111,15 @@ def _angle_profile(mean: np.ndarray, cov: np.ndarray):
     ``q`` that rounds to zero or below makes the integrand non-finite, which
     :func:`integrate` reports the same way.
     """
-    (a, b), (c, e) = cov.tolist()
-    off = (b + c) / 2.0
-    sym = np.array([[a, off], [off, e]])
-    if _det(sym) <= _DEGENERATE_TOL:
+    if _det(cov) <= _DEGENERATE_TOL:
         raise ValueError("degenerate covariance has no angle density")
-    j = math.frexp(max(abs(a), abs(off), abs(e)))[1] // 2
-    sym = np.ldexp(sym, -2 * j)
-    det = _det(sym)
+    j = math.frexp(max(map(abs, cov.ravel().tolist())))[1] // 2
+    unit = np.ldexp(cov, -2 * j)
+    det = _det(unit)
     if det <= _DEGENERATE_TOL:
         raise QuadratureNotConverged(f"state too eccentric: det = {det!r} at unit scale",
                                      math.nan, math.inf, math.nan)
-    i00, i01, i11 = _inverse(sym, det)
+    i00, i01, i11 = _inverse(unit, det)
     m0, m1 = (math.ldexp(v, -j) for v in mean.tolist())
     norm = 1.0 / (2.0 * math.pi * math.sqrt(det))
     g0, g1 = i00 * m0 + i01 * m1, i01 * m0 + i11 * m1
@@ -207,7 +203,7 @@ def phase_expectation(state0: Gaussian2D | None, d: DerivedParams, t: float,
     physical-angle integral to ``tol``.  Both decay to zero.
     """
     state0 = ground_state() if state0 is None else state0
-    return _mean_angle(*_push(state0.mean, state0.cov, d, t), d.beta * _check_real("time t", t), tol)
+    return _mean_angle(*_push(state0.mean, state0.cov, d, t)[:2], d.beta * _check_real("time t", t), tol)
 
 
 def thermal_angle_expectation(phi_func: Callable[[np.ndarray], np.ndarray],

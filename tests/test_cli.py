@@ -114,14 +114,17 @@ class TestGoldenBytes:
     """SHA-256 of each CSV body at the default configuration, ``#`` lines dropped.
 
     Refactors keep CLI output byte-identical; these literals show it.  The
-    digits come from this package's numerics and the installed numpy, scipy
-    and LAPACK.  Changing a literal is a declared contract change that
-    CHANGES.md must state and justify, not a value to refresh.
+    digits come from this package's numerics and the installed numpy and
+    scipy.  Only ``spectrum``'s depend on LAPACK, and through it on the BLAS
+    kernel; ``survival`` and ``phase-mean`` depend on no BLAS kernel, which
+    ``test_gaussian_pins_under_two_blas_kernels`` checks.  Changing a
+    literal is a declared contract change that CHANGES.md must state and
+    justify, not a value to refresh.
     """
 
     GOLDEN = {
-        "survival": "132976e6867ee9866852f989b2ab55b63dd8ea82d0aa93a9f01aba85405f3dd8",
-        "phase-mean": "0cbf765c9cdc5560ebfacaa98d39b50d50ddb4f0d0012d7ed3df830a5414465c",
+        "survival": "30e19f553d4174ea43c6c5b61ebf3a29c7505157f54aecf94cc869dd04454dfe",
+        "phase-mean": "8bbeb72aee49e3394043500311a01633e365039c54ac7760986525f714fd159f",
         "spectrum": "ca618423826c59fac3fd8ec539508d9616d58946b15ed5ce654599c0d2534270",
     }
 

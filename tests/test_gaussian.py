@@ -1,5 +1,12 @@
 import ast
+import contextlib
+import hashlib
+import io
 import math
+import os
+import subprocess
+import sys
+import tempfile
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -104,6 +111,76 @@ def test_only_gaussian_calls_the_propagator():
     callers = {path.stem for path in Path(wigosc.__file__).parent.glob("*.py")
                if _calls_to(ast.parse(path.read_text()), "propagator")}
     assert callers == {"gaussian"}
+
+
+def _blas_uses(tree):
+    """Lines of every ``@``, ``@=`` and call to a numpy product or ``np.linalg`` in ``tree``."""
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)]
+    for name in ("dot", "vdot", "inner", "matmul", "tensordot", "einsum"):
+        lines += _calls_to(tree, name)
+    return sorted(lines + [line for _, line in _linalg_uses(tree)])
+
+
+def test_gaussian_engine_makes_no_blas_call():
+    # OpenBLAS picks its kernel by CPU type, and kernels round a product
+    # differently, so the propagator, its observables and the chain do their
+    # 2x2 algebra in float arithmetic.  quadrature's weighted sum is a product
+    # too; it reads the same bits under every OpenBLAS kernel tried
+    package = Path(wigosc.__file__).parent
+    uses = {stem: lines for stem in ("gaussian", "observables", "langevin")
+            if (lines := _blas_uses(ast.parse((package / f"{stem}.py").read_text())))}
+    assert uses == {}
+    probe = "a @ b\nc @= d\nnp.dot(a, b)\na.dot(b)\nnp.matmul(a, b)\nnp.linalg.det(a)"
+    assert _blas_uses(ast.parse(probe)) == [1, 2, 3, 4, 5, 6]
+
+
+def _gaussian_pins():
+    """The outputs the Gaussian push sets, as text: CLI bodies, golden phase means, z-scores."""
+    from test_langevin import _CORRELATED
+    from test_observables import GOLDEN, GOLDEN_PHASE, GOLDEN_STARTS
+    from wigosc import SdeConfig, compare_to_propagator, phase_expectation, simulate_ensemble
+    from wigosc.cli import main
+    pins = []
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        for command in ("survival", "phase-mean"):
+            out = Path(tmp) / f"{command}.csv"
+            main([command, "--out", str(out)])
+            body = "".join(line + "\n" for line in out.read_text().splitlines()
+                           if not line.startswith("#"))
+            pins.append(hashlib.sha256(body.encode()).hexdigest())
+    for big_d, big_b, beta_t, *_ in GOLDEN:
+        d = derive(ModelParams.from_dimensionless(big_d, big_b))
+        pins.append(repr(phase_expectation(None, d, beta_t / d.beta)))
+    for start, big_d, big_b, beta_t, _ in GOLDEN_PHASE:
+        d = derive(ModelParams.from_dimensionless(big_d, big_b))
+        pins.append(repr(phase_expectation(GOLDEN_STARTS[start], d, beta_t / d.beta)))
+    params = ModelParams.from_dimensionless(5.0, 0.25)
+    cfg = SdeConfig(dt=0.01, n_steps=400, n_trajectories=512, seed=5, record_every=50)
+    report = simulate_ensemble(params, cfg, initial=_CORRELATED)
+    z = compare_to_propagator(report, derive(params)).z_scores
+    pins.append(hashlib.sha256(z.tobytes()).hexdigest())
+    return pins
+
+
+def test_gaussian_pins_under_two_blas_kernels():
+    # OpenBLAS picks its kernel once, at numpy's import, so each kernel needs a
+    # fresh interpreter.  Prescott has no FMA and no AVX, Haswell both
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        pytest.skip(f"BLAS {blas.get('name', 'unknown')!r} cannot be told its kernel")
+    umath = getattr(getattr(np, "_core", None), "_multiarray_umath", None)
+    if not getattr(umath, "__cpu_features__", {}).get("AVX2"):
+        pytest.skip("the Haswell kernel needs a CPU with AVX2")
+    script = ("import sys; sys.path[:0] = sys.argv[1:]\n"
+              "from test_gaussian import _gaussian_pins\n"
+              "print(*_gaussian_pins(), sep='\\n')")
+    outs = [subprocess.run([sys.executable, "-c", script, str(Path(wigosc.__file__).parents[1]),
+                            str(Path(__file__).parent)],
+                           env={**os.environ, "OPENBLAS_CORETYPE": core}, capture_output=True,
+                           text=True, check=True, timeout=300).stdout.split()
+            for core in ("Prescott", "Haswell")]
+    assert len(outs[0]) == 14 and outs[0] == outs[1]
 
 
 def _environment_reads(tree):
@@ -511,20 +588,21 @@ class TestFrameMap:
     def test_physical_view_of_evolve_is_the_push(self, beta_t, log_d, big_b, start):
         d = derive(ModelParams.from_dimensionless(math.exp(log_d), big_b))
         t = beta_t / d.beta
-        flow, ((a, b), (c, e)) = (arr.tolist() for arr in _push(np.eye(2), start.cov, d, t))
+        _, ((a, b), (c, e)), flow = _push(start.mean, start.cov, d, t)
+        assert b == c  # one off-diagonal, pushed once
         m0, m1 = (float(Fraction(f) * Fraction(start.mean[0]) + Fraction(g) * Fraction(start.mean[1]))
                   for f, g in flow)
         view = evolve(start, d, t).physical(d.beta, t)
         # each entry comes back to a few ulps of its scale, the mean to a few of
         # the exact F m0 (evolve rounds the stretched mean once, where _push's
-        # F @ m0 may lose a cancelling sum's digits), a subnormal one to a few
+        # F m0 may lose a cancelling sum's digits), a subnormal one to a few
         # units of the least subnormal
         ulps = lambda got, want, scale: abs(got - want) <= 8.0 * EPS * scale + 4.0 * math.ulp(0.0)
         assert view.cov[1, 1] == e
         assert ulps(view.mean[0], m0, abs(m0)) and ulps(view.mean[1], m1, abs(m1))
         assert ulps(view.cov[0, 0], a, a)
         for off in (view.cov[0, 1], view.cov[1, 0]):
-            assert ulps(off, (b + c) / 2.0, max(abs(b), abs(c)))
+            assert ulps(off, b, abs(b))
 
     @pytest.mark.xfail(strict=True, reason="F C0 F^T underflows before the stretch takes it "
                        "back; ROADMAP item 6")
@@ -549,6 +627,16 @@ class TestFrameMap:
                 with pytest.raises(ValueError, match="canonical-frame") as info:
                     make()
             assert type(info.value) is ValueError
+
+    def test_huge_mean_overflow_is_a_plain_value_error(self, d_default):
+        # F m0 goes through the frame map's check before the exact mean is
+        # rounded, which would raise OverflowError past the float max
+        start = Gaussian2D(np.array([1e306, 1e306]), 0.5 * np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="canonical-frame") as info:
+                evolve(start, d_default, 30.0 / d_default.beta)
+        assert type(info.value) is ValueError
 
 
 class TestThermalState:

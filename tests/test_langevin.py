@@ -409,12 +409,13 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("n, steps, record_every, limit_mib", [
         (20000, 8000, 0, 4.0),            # validate's ensemble
-        (4097, 4000, 1, 1.05 * 16.43),    # one-group blocks, two draw tables
+        (4097, 4000, 1, 1.05 * 8.82),     # one-group blocks, two draw tables
     ], ids=["validate", "one-group-blocks"])
     def test_peak_memory(self, n, steps, record_every, limit_mib):
         # wide blocks must not buy speed with table memory: a draw table keeps
-        # at most _INTERVALS intervals of _GROUP rows (8 MB); tracing makes the
-        # second case ~8x slower than an untraced run
+        # at most _INTERVALS intervals of _GROUP rows (8 MB), and a block's
+        # tables share one buffer; tracing makes the second case ~8x slower
+        # than an untraced run
         params = ModelParams.from_dimensionless(5.0, 0.25)
         cfg = SdeConfig(dt=0.005, n_steps=steps, n_trajectories=n, seed=20240817,
                         record_every=record_every)
@@ -523,14 +524,13 @@ class TestComparison:
             compare_to_propagator(report, derive(params))
 
     def test_correlated_start_zscores_bit_for_bit(self):
-        # the physical-frame push behind every z-score, pinned for a start whose
-        # pushed covariance rounds its two off-diagonals apart
+        # the physical-frame push behind every z-score, pinned for a correlated start
         params = make_params(5.0, 0.25)
         cfg = SdeConfig(dt=0.01, n_steps=400, n_trajectories=512, seed=5, record_every=50)
         report = simulate_ensemble(params, cfg, initial=_CORRELATED)
         z = compare_to_propagator(report, derive(params)).z_scores
         assert hashlib.sha256(z.tobytes()).hexdigest() == (
-            "744ef6ac20214a889f273e51480dea3d5f8dfd1b2c86cb3c1f705d1f348c374a")
+            "7c96b239707560e6c9f3cff0cb50de2ac8cb0bc099e8dfcdc67f0d57df43262e")
 
     def test_zscore_layout(self, clean_run):
         params, report = clean_run

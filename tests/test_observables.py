@@ -14,6 +14,7 @@ from wigosc import (Gaussian2D, ModelParams, QuadratureNotConverged, RequiresFri
                     evolve, ground_state, longtime_survival, mean_angle, nofriction_survival,
                     phase_expectation, physical_phase_matrix, propagator, survival_probability,
                     thermal_angle_expectation, thermal_state)
+from wigosc.gaussian import _push
 from wigosc.observables import _angle_profile
 
 PI2_3 = math.pi ** 2 / 3.0
@@ -183,11 +184,10 @@ def ground_start_angle_mpmath(d, t):
     """Phase mean of the evolved ground state from its float physical covariance, in 40 digits.
 
     ``atan2(-b, exp(-beta*t)*d + sqrt(det))`` for ``F (I/2) F^T + cov_physical
-    = [[a, b], [b, d]]``, with ``exp(-beta*t)`` exact.
+    = [[a, b], [b, d]]`` as ``_push`` forms it, with ``exp(-beta*t)`` exact.
     """
     mpmath = pytest.importorskip("mpmath")
-    kern = propagator(d, t)
-    (a, b), (_, c) = (kern.flow @ ground_state().cov @ kern.flow.T + kern.cov_physical).tolist()
+    (a, b), (_, c) = _push(ground_state().mean, ground_state().cov, d, t)[1].tolist()
     with mpmath.workdps(40):
         a, b, c = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(c)
         squeeze = mpmath.exp(-mpmath.mpf(d.beta) * mpmath.mpf(t))
@@ -427,12 +427,13 @@ class TestThermalAngle:
 # regrouped noise integrals, the E[cos] and E[phi**2] columns for the numpy
 # Gauss-Legendre angle rule, and all six phase means for the closed-form q_ab
 # and q_bb, which moved the last three from 9.6e-10, 1.4e-3 and 1e36 relative
-# off ground_start_phase_exact to within 5e-15 (bt120's truth is -3.396e-53)
+# off ground_start_phase_exact to within 5e-15 (bt120's truth is -3.396e-53), and
+# the bt0.3 and bt15 phase means by an ulp for the push in scalar floats
 GOLDEN = [
-    (5.0, 0.05, 0.3, 4.017992068789532e-17, 3.4446955318963264, -0.003280225198002084),
+    (5.0, 0.05, 0.3, 4.017992068789532e-17, 3.4446955318963264, -0.0032802251980020842),
     (1000.0, 0.5, 2.5, 1.403741469054329e-17, 4.466626154861425, -0.043812489425342),
     (30.0, 1.2, 7.0, -5.352954988415994e-19, 4.921475391289592, -0.001650920502193097),
-    (2.0, 0.3, 15.0, 6.407806595759679e-23, 4.934792835740991, -2.5616953027261334e-08),
+    (2.0, 0.3, 15.0, 6.407806595759679e-23, 4.934792835740991, -2.5616953027261337e-08),
     (1000000.0, 1.9, 33.0, 1.765639437428301e-30, 4.934802200544368, -5.2132917794437016e-14),
     (200.0, 0.8, 120.0, 0.0, 4.934802200544679, -3.396356728969995e-53),
 ]
@@ -463,16 +464,17 @@ def test_golden_phase_means_against_exact_kernel(big_d, big_b, beta_t):
 # Starts off the ground state, recorded at cb7c236: the displaced and
 # correlated-centred phase means and the displaced mean angles.  A reroute of
 # the physical-frame push or of the centred/displaced dispatch must keep them
-# bit for bit.  At bt2.5 the pushed covariance's off-diagonals differ by an ulp.
+# bit for bit.  The correlated and bt2.5 centred rows were re-recorded by an ulp
+# when the push moved to scalar floats, with one off-diagonal and no BLAS call.
 _CORR = np.array([[1.3, 0.4], [0.4, 0.8]])
 GOLDEN_STARTS = {"coherent": coherent_state(0.8, -0.5),
                  "correlated": Gaussian2D(np.array([0.7, -0.4]), _CORR),
                  "centred": Gaussian2D(np.zeros(2), _CORR)}
 GOLDEN_PHASE = [
     ("coherent", 5.0, 0.25, 1.5, -0.2555291502824679),
-    ("correlated", 200.0, 0.8, 6.0, -0.000759081638727916),
-    ("correlated", 30.0, 1.2, 2.5, -0.08892392852164085),
-    ("centred", 30.0, 1.2, 2.5, -0.15068419112445186),
+    ("correlated", 200.0, 0.8, 6.0, -0.0007590816387279159),
+    ("correlated", 30.0, 1.2, 2.5, -0.08892392852164087),
+    ("centred", 30.0, 1.2, 2.5, -0.1506841911244518),
     ("centred", 1000.0, 0.5, 0.7, -0.4283430099264079),
 ]
 GOLDEN_ANGLE = [("coherent", -0.49579258382449726), ("correlated", -0.5644219837553824)]
