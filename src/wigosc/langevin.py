@@ -240,12 +240,14 @@ def _interval_map(law: tuple[float, ...]) -> tuple[float, ...]:
 def _stream_reset(bitgen: Philox, seed: int):
     """``reset(index)``, which puts ``bitgen`` in the state a fresh ``Philox(key=[seed, index])`` starts in.
 
-    One generator per group, reset per trajectory, gives each trajectory's
-    own stream at a fraction of the cost of building a generator.
+    One generator per block, reset per trajectory, gives each trajectory's
+    own stream at a fraction of the cost of building a generator.  ``fresh``
+    holds Python ints because the setter indexes each of its 14 words: words
+    in numpy arrays would each build a numpy scalar, and the reset would cost
+    nearly as much as the draw that follows it.
     """
-    fresh = {"bit_generator": "Philox",
-             "state": {"counter": np.zeros(4, np.uint64), "key": np.array([seed, 0], np.uint64)},
-             "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    fresh = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": [int(seed), 0]},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     key = fresh["state"]["key"]
 
     def reset(index: int) -> None:

@@ -10,7 +10,7 @@ import pytest
 from wigosc import (ModelParams, derive, longtime_survival, nofriction_survival, phase_expectation,
                     propagator, survival_probability)
 from wigosc.cli import main
-from wigosc.phaseops import canonical_phase_matrix, spectrum
+from wigosc.phaseops import canonical_phase_matrix, physical_phase_matrix, spectrum
 
 EPS = float(np.finfo(float).eps)
 
@@ -111,30 +111,48 @@ class TestSpectrumCommand:
 
 
 class TestGoldenBytes:
-    """SHA-256 of each CSV body at the default configuration, ``#`` lines dropped.
+    """Each CSV body at the default configuration, ``#`` lines dropped.
 
-    Refactors keep CLI output byte-identical; these literals show it.  The
+    Refactors keep CLI output byte-identical; these pins show it.  The
     digits come from this package's numerics and the installed numpy and
-    scipy.  Only ``spectrum``'s depend on LAPACK, and through it on the BLAS
-    kernel; ``survival`` and ``phase-mean`` depend on no BLAS kernel, which
-    ``test_gaussian_pins_under_two_blas_kernels`` checks.  Changing a
-    literal is a declared contract change that CHANGES.md must state and
-    justify, not a value to refresh.
+    scipy.  ``survival`` and ``phase-mean`` depend on no BLAS kernel, which
+    ``test_gaussian_pins_under_two_blas_kernels`` checks, so their SHA-256 is
+    pinned.  ``spectrum``'s eigenvalues come from LAPACK, whose last digits
+    follow the BLAS kernel the CPU selects, so its rows are recorded in
+    ``golden_spectrum.csv``: the header, ``beta_t`` and ``index`` columns
+    exact, and each eigenvalue within twice its ``Spectrum.residual``, since
+    the recorded and the new value each lie within the certificate of the
+    exact one.  Changing a pin is a declared contract change that CHANGES.md
+    must state and justify, not a value to refresh.
     """
 
     GOLDEN = {
         "survival": "30e19f553d4174ea43c6c5b61ebf3a29c7505157f54aecf94cc869dd04454dfe",
         "phase-mean": "8bbeb72aee49e3394043500311a01633e365039c54ac7760986525f714fd159f",
-        "spectrum": "ca618423826c59fac3fd8ec539508d9616d58946b15ed5ce654599c0d2534270",
     }
+    SPECTRUM_ROWS = Path(__file__).with_name("golden_spectrum.csv")
 
-    @pytest.mark.parametrize("command", sorted(GOLDEN))
+    @pytest.mark.parametrize("command", sorted([*GOLDEN, "spectrum"]))
     def test_default_csv_body(self, command, tmp_path):
         out = tmp_path / "out.csv"
         assert main([command, "--out", str(out)]) == 0
+        if command == "spectrum":
+            self._assert_spectrum_rows(out)
+            return
         body = "".join(line + "\n" for line in out.read_text().splitlines()
                        if not line.startswith("#"))
         assert hashlib.sha256(body.encode()).hexdigest() == self.GOLDEN[command]
+
+    def _assert_spectrum_rows(self, out):
+        _, header, rows = read_csv(out)
+        _, want_header, want_rows = read_csv(self.SPECTRUM_ROWS)
+        assert header == want_header and len(rows) == len(want_rows)
+        residual = {}
+        for (bt, idx, value), (want_bt, want_idx, want_value) in zip(rows, want_rows):
+            assert (bt, idx) == (want_bt, want_idx)
+            if bt not in residual:  # at the default nmax
+                residual[bt] = spectrum(physical_phase_matrix(150, float(bt))).residual
+            assert abs(float(value) - float(want_value)) <= 2.0 * residual[bt], (bt, idx)
 
     def test_survival_within_two_eps_of_50_digits(self):
         # the evidence for the survival literal: on the default grid each exact

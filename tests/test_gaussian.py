@@ -45,6 +45,17 @@ def _exact_det(m):
     return a * d - b * b, abs(a * d) + b * b
 
 
+def _lu_log_sizes(m):
+    """``|log|u00|| + |log|u11||`` of the 2x2 LU factors of ``m`` with partial pivoting.
+
+    A zero ``u11`` adds nothing: ``np.linalg.det`` then returns 0.
+    """
+    (a, b), (c, d) = m.tolist()
+    if abs(c) > abs(a):
+        (a, b), (c, d) = (c, d), (a, b)
+    return sum(abs(math.log(abs(u))) for u in (a, d - c / a * b) if u != 0.0)
+
+
 def _switch_edges(c):
     """The lags just below and just above the switch ``(c + 2)*T = 2`` of the integrals."""
     below = above = 2.0 / (c + 2.0)
@@ -247,16 +258,18 @@ class TestClosedForms:
 
     @settings(max_examples=300, deadline=None)
     @given(_MAGNITUDE, _MAGNITUDE, _CORRELATION)
+    @example(10.0 ** 112.25, 1e-112, 0.0)  # np.linalg.det off by 139 eps * det
     def test_det_matches_exact_and_linalg(self, a, d, rho):
         m = _psd(a, d, rho)
         exact, size = _exact_det(m)
         det = _det(m)
         # backward stable: the error is a few eps * (|a*d| + b**2)
         assert float(abs(Fraction(det) - exact)) <= 2.0 * EPS * float(size)
-        # np.linalg.det returns exp(log|det|): its error also grows with |log det|
+        # np.linalg.det returns exp(log|u00| + log|u11|) of the LU factors:
+        # its error also grows with those logs, not only with |log det|
         ref = float(np.linalg.det(m))
-        log_det = abs(math.log(det)) if det > 0.0 else 0.0
-        assert abs(det - ref) <= 64.0 * EPS * (float(size) + log_det * max(abs(ref), abs(det)))
+        logs = _lu_log_sizes(m)
+        assert abs(det - ref) <= 64.0 * EPS * (float(size) + logs * max(abs(ref), abs(det)))
 
     @settings(max_examples=300, deadline=None)
     @given(_MAGNITUDE, st.floats(-6.0, 6.0), _CORRELATION)
