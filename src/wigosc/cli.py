@@ -149,11 +149,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
                     for r in r_grid)
     checks.append(("phase_point_ground", delta_err < 1e-12, f"max_err={delta_err:.3e}"))
 
-    for name, mat in (("canonical", canonical_phase_matrix(120)),
-                      ("physical", physical_phase_matrix(120, 2.0))):
-        defect = float(np.max(np.abs(mat.values - mat.values.conj().T)))
-        checks.append((f"hermitian_{name}", defect == 0.0, f"defect={_fmt(defect)}"))
-
     spec = spectrum(canonical_phase_matrix(150))
     slack = spec.containment_slack(math.pi)
     checks.append(("spectrum_in_band", slack == 0.0,

@@ -10,9 +10,9 @@ Averaging the deterministic flow over realisations of the white-noise force
 turns the delta-function propagator of the quadratic generator into a Gaussian
 kernel.  Its covariance integrates only ``I_ss``: one regrouped closed form at
 every damping, and an 8-point Gauss rule for the short lags where that form
-cancels.  ``propagator`` reads the scalar entries of the flow and of the noise
-form (``model._flow_terms``, ``_noise_terms``), the same floats ``classical_flow``
-and ``noise_form`` wrap as arrays.
+cancels.  Inside the engine a mean is ``(m0, m1)``, a covariance ``(a, b, d)`` for
+``[[a, b], [b, d]]`` and the kernel ``_kernel``'s map of floats; only public values,
+such as ``propagator``'s and ``Gaussian2D``'s, wrap them as arrays.
 """
 
 from __future__ import annotations
@@ -43,27 +43,31 @@ _DEGENERATE_TOL = 1e-300
 _LOG_MAX = math.log(sys.float_info.max)  # math.exp overflows beyond this
 
 
-def _det(m) -> float:
-    """Determinant of the symmetric 2x2 ``m``, pivoting on the larger diagonal entry.
+def _entries(cov: np.ndarray) -> tuple[float, float, float]:
+    """The entries ``(a, b, d)`` of the symmetric 2x2 ``cov = [[a, b], [b, d]]``, as floats."""
+    (a, b), (_, d) = cov.tolist()
+    return a, b, d
+
+
+def _det(a: float, b: float, d: float) -> float:
+    """Determinant of the symmetric 2x2 ``[[a, b], [b, d]]``, pivoting on the larger diagonal entry.
 
     ``a*(d - b*(b/a))`` overflows only when the determinant itself does; the
-    plain ``a*d - b*b`` meets ``inf - inf`` first.  For positive
-    semidefinite ``m``, ``|b/a| <= 1``, so the result is never NaN.
+    plain ``a*d - b*b`` meets ``inf - inf`` first.  For a positive
+    semidefinite matrix, ``|b/a| <= 1``, so the result is never NaN.
     """
-    a, b, d = float(m[0, 0]), float(m[0, 1]), float(m[1, 1])
     if abs(d) > abs(a):
         a, d = d, a
     return a * (d - b * (b / a)) if a != 0.0 else -b * b
 
 
-def _inverse(m, det: float) -> tuple[float, float, float]:
-    """Entries ``(i00, i01, i11)`` of the symmetric 2x2 ``m``'s inverse: adjugate over ``det``."""
-    return float(m[1, 1]) / det, -float(m[0, 1]) / det, float(m[0, 0]) / det
+def _inverse(a: float, b: float, d: float, det: float) -> tuple[float, float, float]:
+    """Entries ``(i00, i01, i11)`` of the inverse of ``[[a, b], [b, d]]``: adjugate over ``det``."""
+    return d / det, -b / det, a / det
 
 
-def _min_eig(m) -> float:
-    """Smaller eigenvalue of the symmetric 2x2 ``m``, in closed form."""
-    a, b, d = float(m[0, 0]), float(m[0, 1]), float(m[1, 1])
+def _min_eig(a: float, b: float, d: float) -> float:
+    """Smaller eigenvalue of the symmetric 2x2 ``[[a, b], [b, d]]``, in closed form."""
     return (a + d) / 2.0 - math.hypot((a - d) / 2.0, b)
 
 
@@ -97,24 +101,24 @@ class Gaussian2D:
         if asym > 1e-12 * scale:
             raise ValueError(f"covariance not symmetric (asymmetry {asym:.3e})")
         off = (b + c) / 2.0
-        cov = np.array([[a, off], [off, d]])
-        min_eig = _min_eig(cov / scale)
+        min_eig = _min_eig(a / scale, off / scale, d / scale)
         if min_eig < -1e-12:
             raise ValueError(f"covariance not positive semidefinite "
                              f"(min eig {min_eig * scale:.3e})")
         object.__setattr__(self, "mean", _readonly(mean))
-        object.__setattr__(self, "cov", _readonly(cov))
+        object.__setattr__(self, "cov", _readonly(np.array([[a, off], [off, d]])))
 
     @property
     def is_degenerate(self) -> bool:
-        return _det(self.cov) <= _DEGENERATE_TOL
+        return _det(*_entries(self.cov)) <= _DEGENERATE_TOL
 
     def density(self, x, y):
         """Density value(s) at ``(x, y)``; requires a non-degenerate covariance."""
-        det = _det(self.cov)
+        cov = _entries(self.cov)
+        det = _det(*cov)
         if det <= _DEGENERATE_TOL:
             raise ValueError("degenerate covariance has no pointwise density")
-        i00, i01, i11 = _inverse(self.cov, det)
+        i00, i01, i11 = _inverse(*cov, det)
         dx = np.asarray(x, dtype=float) - self.mean[0]
         dy = np.asarray(y, dtype=float) - self.mean[1]
         quad = i00 * dx * dx + 2.0 * i01 * dx * dy + i11 * dy * dy
@@ -127,22 +131,23 @@ class Gaussian2D:
         1 (the Jacobian is absorbed by the amplitude).  ``beta`` and ``t``
         must be finite and ``>= 0``.
         """
-        return Gaussian2D(*_stretch_x(self.mean, self.cov,
-                                      -_check_real("beta", beta) * _check_real("time t", t)))
+        (m0, m1), (a, b, d) = _stretch_x(self.mean.tolist(), _entries(self.cov),
+                                         -_check_real("beta", beta) * _check_real("time t", t))
+        return Gaussian2D(np.array([m0, m1]), np.array([[a, b], [b, d]]))
 
 
-def _stretch_x(mean: np.ndarray, cov: np.ndarray, log_s: float) -> tuple[np.ndarray, np.ndarray]:
-    """``(mean, cov)``, its x entry, row and column scaled by ``s = exp(log_s)``: the one map
-    between the frames, ``log_s = beta*t`` to canonical and ``-beta*t`` back.  A canonical state
-    past a float (``beta*t`` ~340-355, by ``D``) raises ``ValueError``, with no numpy warning.
+def _stretch_x(mean, cov, log_s: float) -> tuple[tuple[float, float], tuple[float, float, float]]:
+    """Float moments ``(mean, cov)``, the x entry, row and column scaled by ``s = exp(log_s)``: the
+    one map between the frames, ``log_s = beta*t`` to canonical and ``-beta*t`` back.  A canonical
+    state past a float (``beta*t`` ~340-355, by ``D``) raises ``ValueError``, with no numpy warning.
     """
     s = math.exp(log_s) if log_s <= _LOG_MAX else math.inf
-    (m0, m1), ((a, b), (c, d)) = mean.tolist(), cov.tolist()
-    m0, a, b, c = s * m0, (s * a) * s, s * b, c * s
-    if not all(map(math.isfinite, (m0, a, b, c))):
+    (m0, m1), (a, b, d) = mean, cov
+    m0, a, b = s * m0, (s * a) * s, s * b
+    if not all(map(math.isfinite, (m0, a, b))):
         raise ValueError(f"the canonical-frame state overflows a float at beta*t = {log_s!r}; "
                          "the physical frame stays finite: use propagator(d, t).cov_physical")
-    return np.array([m0, m1]), np.array([[a, b], [c, d]])
+    return (m0, m1), (a, b, d)
 
 
 _GROUND = Gaussian2D(np.zeros(2), 0.5 * np.eye(2))
@@ -233,18 +238,23 @@ class PropagatorKernel:
     cov_physical: np.ndarray
 
 
-def propagator(d: DerivedParams, t: float) -> PropagatorKernel:
-    """Transition kernel of the noise-averaged dynamics from 0 to ``t``.
+def _kernel(d: DerivedParams, t: float) -> tuple:
+    """Map ``(f00, f01, f10, f11, q00, q01, q11)`` of the flow and, formed here only, the physical
+    covariance the noise adds, ``[[eps^2*Q_bb, Q_ab], [Q_ab, Q_aa/eps^2]]``; ``t`` is not checked.
+    """
+    q_aa, q_ab, q_bb = _noise_terms(d, t)
+    e2 = d.eps ** 2
+    return (*_flow_terms(d, t), e2 * q_bb, q_ab, q_aa / e2)
 
-    The dual-variable form is integrated out exactly: in the physical pair
-    the added covariance is ``[[eps^2*Q_bb, Q_ab], [Q_ab, Q_aa/eps^2]]``.
+
+def propagator(d: DerivedParams, t: float) -> PropagatorKernel:
+    """Transition kernel of the noise-averaged dynamics from 0 to ``t``: :func:`_kernel` as arrays.
+
     Nothing grows like ``exp(beta*t)``, so the kernel is finite at every ``t``.
     """
-    t = _check_real("time t", t)
-    (f00, f01, f10, f11), (q_aa, q_ab, q_bb) = _flow_terms(d, t), _noise_terms(d, t)
-    e2 = d.eps ** 2
+    f00, f01, f10, f11, q00, q01, q11 = _kernel(d, _check_real("time t", t))
     return PropagatorKernel(flow=_readonly(np.array([[f00, f01], [f10, f11]])),
-                            cov_physical=np.array([[e2 * q_bb, q_ab], [q_ab, q_aa / e2]]))
+                            cov_physical=_readonly(np.array([[q00, q01], [q01, q11]])))
 
 
 def _compose(first: tuple, then: tuple) -> tuple:
@@ -259,18 +269,14 @@ def _compose(first: tuple, then: tuple) -> tuple:
             t10 * p10 + t11 * p11 + s11)
 
 
-def _push(mean: np.ndarray, cov: np.ndarray, d: DerivedParams,
-          t: float) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """Physical moments ``(F m0, F C0 F^T + cov_physical)`` at ``t`` of ``(m0, C0)``, and ``F``'s rows.
+def _push(mean, cov, d: DerivedParams, t: float) -> tuple[tuple[float, float], tuple]:
+    """``(F m0, (F, F C0 F^T + cov_physical))`` at ``t`` of the float moments ``(m0, C0)``.
 
-    ``(I, C0)`` then the kernel, composed by :func:`_compose` in floats: no BLAS kernel rounds it.
+    ``(I, C0)`` then :func:`_kernel`, composed in floats: no BLAS kernel rounds it; ``t`` is not checked.
     """
-    kern, ((c00, c01), (_, c11)), (m0, m1) = propagator(d, t), cov.tolist(), mean.tolist()
-    (q00, q01), (_, q11) = kern.cov_physical.tolist()
-    f00, f01, f10, f11, s00, s01, s11 = _compose((1.0, 0.0, 0.0, 1.0, c00, c01, c11),
-                                                 (*kern.flow.ravel().tolist(), q00, q01, q11))
-    return (np.array([f00 * m0 + f01 * m1, f10 * m0 + f11 * m1]),
-            np.array([[s00, s01], [s01, s11]]), ((f00, f01), (f10, f11)))
+    law = _compose((1.0, 0.0, 0.0, 1.0, *cov), _kernel(d, t))
+    (m0, m1), (f00, f01, f10, f11) = mean, law[:4]
+    return (f00 * m0 + f01 * m1, f10 * m0 + f11 * m1), law
 
 
 def evolve(state: Gaussian2D, d: DerivedParams, t: float) -> Gaussian2D:
@@ -282,11 +288,12 @@ def evolve(state: Gaussian2D, d: DerivedParams, t: float) -> Gaussian2D:
     overflows a float (``beta*t`` past ~340-355, by ``D``) this raises ``ValueError``.
     """
     t = _check_real("time t", t)
-    mean, cov, flow = _push(state.mean, state.cov, d, t)
-    _, cov = _stretch_x(mean, cov, d.beta * t)  # raises on overflow
+    m = state.mean.tolist()
+    mean, (f00, f01, f10, f11, *cov) = _push(m, _entries(state.cov), d, t)
+    _, (a, b, e) = _stretch_x(mean, cov, d.beta * t)  # raises on overflow
     # one rounding: F m0 rounded, then stretched, carries s-fold a cancelling sum's error
-    m, rows = state.mean.tolist(), zip((math.exp(d.beta * t), 1.0), flow)
-    return Gaussian2D(np.array([_round_once(k, *row, *m) for k, row in rows]), cov)
+    rows = ((math.exp(d.beta * t), f00, f01), (1.0, f10, f11))
+    return Gaussian2D(np.array([_round_once(*row, *m) for row in rows]), np.array([[a, b], [b, e]]))
 
 
 def _round_once(k: float, a: float, b: float, x: float, y: float) -> float:
@@ -305,7 +312,9 @@ def thermal_state(d: DerivedParams, t: float) -> Gaussian2D:
     t = _check_real("time t", t)
     if d.beta == 0.0:
         raise RequiresFriction("thermalisation requires beta > 0")
-    return Gaussian2D(*_stretch_x(np.zeros(2), np.eye(2) * d.temperature_number / 2.0, d.beta * t))
+    half_d = d.temperature_number / 2.0
+    _, (a, _, e) = _stretch_x((0.0, 0.0), (half_d, 0.0, half_d), d.beta * t)
+    return Gaussian2D(np.zeros(2), np.diag([a, e]))
 
 
 def state_overlap(a: Gaussian2D, b: Gaussian2D) -> float:
@@ -319,8 +328,8 @@ def state_overlap(a: Gaussian2D, b: Gaussian2D) -> float:
     (degenerate with zero covariance), the overlap is ``2*pi`` times the
     other density evaluated at its location.
     """
-    csum = a.cov + b.cov
-    det = _det(csum)
+    csum = _entries(a.cov + b.cov)
+    det = _det(*csum)
     if not math.isfinite(det):
         raise ValueError("det(Ca + Cb) overflows a float: the overlap is below what the "
                          "canonical frame can resolve")
@@ -329,7 +338,7 @@ def state_overlap(a: Gaussian2D, b: Gaussian2D) -> float:
             if np.all(delta.cov == 0.0) and not other.is_degenerate:
                 return float(2.0 * math.pi * other.density(delta.mean[0], delta.mean[1]))
         raise ValueError("overlap of two degenerate states is not defined")
-    i00, i01, i11 = _inverse(csum, det)
+    i00, i01, i11 = _inverse(*csum, det)
     dx, dy = (a.mean - b.mean).tolist()
     quad = i00 * dx * dx + 2.0 * i01 * dx * dy + i11 * dy * dy
     return math.exp(-0.5 * quad) / math.sqrt(det)

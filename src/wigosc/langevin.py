@@ -58,7 +58,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import ParameterMismatch, StepTooLarge, _check_int, _check_real
-from .gaussian import Gaussian2D, _compose, _det, _push, ground_state
+from .gaussian import Gaussian2D, _compose, _det, _entries, _push, ground_state
 from .model import DerivedParams, ModelParams, PhasePoint
 
 __all__ = [
@@ -148,37 +148,37 @@ class MomentReport:
         return h.hexdigest()
 
 
-def _start_moments(initial) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Dimensionless start ``(mean, cov, root)`` with ``cov = root @ root.T``.
+def _start_moments(initial) -> tuple[tuple, tuple, tuple | None]:
+    """Dimensionless start ``(mean, cov, root)`` as floats, ``root`` the entries of :func:`_sqrt_psd`.
 
     ``root`` is ``None`` for a deterministic :class:`PhasePoint` start.
     """
     if initial is None:
         initial = ground_state()
     if isinstance(initial, PhasePoint):
-        return np.array([initial.x, initial.y], dtype=float), np.zeros((2, 2)), None
+        return (initial.x, initial.y), (0.0, 0.0, 0.0), None
     if not isinstance(initial, Gaussian2D):
         raise TypeError(f"initial must be a Gaussian2D, a PhasePoint or None, "
                         f"got {type(initial).__name__}")
-    mean = np.array(initial.mean, dtype=float)
-    cov = np.array(initial.cov, dtype=float)
-    return mean, cov, _sqrt_psd(cov)
+    cov = _entries(initial.cov)
+    return tuple(initial.mean.tolist()), cov, _sqrt_psd(*cov)
 
 
-def _sqrt_psd(cov: np.ndarray) -> np.ndarray:
-    """Principal square root of the symmetric positive-semidefinite 2x2 ``cov``.
+def _sqrt_psd(a: float, b: float, d: float) -> tuple[float, float, float]:
+    """Entries ``(r00, r01, r11)`` of the principal square root of the PSD ``[[a, b], [b, d]]``.
 
     By Cayley-Hamilton, ``sqrt(C) = (C + r I) / sqrt(tr C + 2 r)`` with
     ``r = sqrt(det C)``.  ``C`` is first divided by its larger diagonal entry,
     so that the determinant neither underflows nor overflows; a determinant
     below 0, of a covariance that is semidefinite only to rounding, counts as 0.
     """
-    scale = max(float(cov[0, 0]), float(cov[1, 1]))
+    scale = max(a, d)
     if scale <= 0.0:  # a semidefinite matrix with a zero diagonal is zero
-        return np.zeros((2, 2))
-    unit = cov / scale
-    r = math.sqrt(max(_det(unit), 0.0))
-    return (unit + r * np.eye(2)) * math.sqrt(scale / (unit[0, 0] + unit[1, 1] + 2.0 * r))
+        return 0.0, 0.0, 0.0
+    a, b, d = a / scale, b / scale, d / scale
+    r = math.sqrt(max(_det(a, b, d), 0.0))
+    k = math.sqrt(scale / (a + d + 2.0 * r))
+    return (a + r) * k, b * k, (d + r) * k
 
 
 def _chain_step(params: ModelParams, dt: float) -> tuple[float, ...]:
@@ -257,7 +257,7 @@ def _stream_reset(bitgen: Philox, seed: int):
     return reset
 
 
-def _run_block(lo: int, nb: int, cfg: SdeConfig, mean0: np.ndarray, root: np.ndarray | None,
+def _run_block(lo: int, nb: int, cfg: SdeConfig, mean0: tuple, root: tuple | None,
                maps: list[tuple[float, ...]]) -> tuple[np.ndarray, float, float]:
     """Simulate trajectories ``lo .. lo + nb - 1`` as one array; return ``(sums, noise_s, step_s)``.
 
@@ -311,9 +311,9 @@ def _run_block(lo: int, nb: int, cfg: SdeConfig, mean0: np.ndarray, root: np.nda
             if root is None:
                 x[:], y[:] = mean0
             else:
-                u, v = draws[:, 0], draws[:, 1]
-                x[:] = mean0[0] + root[0, 0] * u + root[0, 1] * v
-                y[:] = mean0[1] + root[1, 0] * u + root[1, 1] * v
+                (r00, r01, r11), u, v = root, draws[:, 0], draws[:, 1]
+                x[:] = mean0[0] + r00 * u + r01 * v
+                y[:] = mean0[1] + r01 * u + r11 * v
             record(0)
         for j, (p00, p01, p10, p11, l00, l10, l11) in enumerate(maps[first:first + width]):
             u, v = table[:, j, 0], table[:, j, 1]
@@ -324,18 +324,13 @@ def _run_block(lo: int, nb: int, cfg: SdeConfig, mean0: np.ndarray, root: np.nda
     return sums, noise_s, step_s
 
 
-def _moments(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """``(nout, 5)`` table of ``mean`` ``(nout, 2)`` and ``cov`` ``(nout, 2, 2)``, in ``_COMPONENTS`` order."""
-    return np.column_stack([mean, cov[:, 0, 0], cov[:, 0, 1], cov[:, 1, 1]])
-
-
-def _standard_errors(cov: np.ndarray, n: int) -> np.ndarray:
-    """``(nout, 5)`` standard errors of the :func:`_moments` of ``n`` samples with covariance ``cov``.
+def _standard_errors(moments: np.ndarray, n: int) -> np.ndarray:
+    """``(nout, 5)`` standard errors of the ``(nout, 5)`` ``moments`` of ``n`` samples.
 
     Gaussian theory: ``sqrt(var/n)`` for a mean, ``var*sqrt(2/(n-1))`` for a
     variance and ``sqrt((var_x*var_y + cov_xy**2)/(n-1))`` for the covariance.
     """
-    var_x, cov_xy, var_y = cov[:, 0, 0], cov[:, 0, 1], cov[:, 1, 1]
+    var_x, cov_xy, var_y = moments[:, 2], moments[:, 3], moments[:, 4]
     dof = max(n - 1, 1)
     return np.column_stack([np.sqrt(np.abs(var_x) / n), np.sqrt(np.abs(var_y) / n),
                             np.abs(var_x) * math.sqrt(2.0 / dof),
@@ -377,20 +372,19 @@ def simulate_ensemble(params: ModelParams, cfg: SdeConfig,
     moments = sums / n  # raw moments, made central in place, in _COMPONENTS order
     mean = moments[:, :2]
     moments[:, 2:] = (moments[:, 2:] - mean[:, [0, 0, 1]] * mean[:, [0, 1, 1]]) * bessel
-    cov = moments[:, [2, 3, 3, 4]].reshape(-1, 2, 2)
-
-    se = _standard_errors(cov, n)
+    se = _standard_errors(moments, n)
+    c00, c01, c11 = cov0
     return MomentReport(
         times=rec_idx * cfg.dt,
         mean=mean,
-        cov=cov,
+        cov=moments[:, [2, 3, 3, 4]].reshape(-1, 2, 2),
         se_mean=se[:, :2],
         se_cov=se[:, [2, 3, 3, 4]].reshape(-1, 2, 2),
         n_trajectories=n,
         params=params,
         config=cfg,
-        initial_mean=mean0,
-        initial_cov=cov0,
+        initial_mean=np.array(mean0),
+        initial_cov=np.array([[c00, c01], [c01, c11]]),
         noise_s=noise_s,
         step_s=step_s,
     )
@@ -446,11 +440,11 @@ def compare_to_propagator(report: MomentReport, d: DerivedParams,
     n = report.n_trajectories
     if n < 2:
         raise ValueError(f"comparison needs at least 2 trajectories, got {n}")
-    mean_a, cov_a = map(np.array, zip(*(_push(report.initial_mean, report.initial_cov, d, float(t))[:2]
-                                        for t in report.times)))
-    predicted = _moments(mean_a, cov_a)
-    diff = _moments(report.mean, report.cov) - predicted
-    se = _standard_errors(cov_a, n)
+    start = report.initial_mean.tolist(), _entries(report.initial_cov)
+    pushed = (_push(*start, d, _check_real("time t", t)) for t in report.times.tolist())
+    predicted = np.array([(*mean, *law[4:]) for mean, law in pushed])  # in _COMPONENTS order
+    diff = np.column_stack([report.mean, report.cov.reshape(-1, 4)[:, [0, 1, 3]]]) - predicted
+    se = _standard_errors(predicted, n)
     det_tol = 50.0 * (q.omega * report.config.dt) ** 2 * (1.0 + q.omega * report.times)
     close = np.abs(diff) <= det_tol[:, None] * (1.0 + np.abs(predicted))
     z = np.divide(diff, se, out=np.where(close, 0.0, math.inf), where=se != 0.0)

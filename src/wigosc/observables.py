@@ -17,7 +17,7 @@ import numpy as np
 import scipy
 
 from .errors import QuadratureNotConverged, RequiresFriction, _check_real
-from .gaussian import (_DEGENERATE_TOL, Gaussian2D, _det, _inverse, _push, evolve,
+from .gaussian import (_DEGENERATE_TOL, Gaussian2D, _det, _entries, _inverse, _push, evolve,
                        ground_state, state_overlap)
 from .model import DerivedParams
 from .quadrature import integrate
@@ -59,6 +59,10 @@ def longtime_survival(d: DerivedParams, t: float) -> float:
                                              * (1.0 + decay * decay / big_d))
 
 
+# 1/3!, -1/5!, ..., -1/21!: wt - sin(wt) = wt**3 * sum(c_k * wt**(2k)), to an ulp below wt = 1
+_SIN_TAIL = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(10))
+
+
 def nofriction_survival(d: DerivedParams, t: float) -> float:
     """Exact survival probability when friction strictly vanishes.
 
@@ -67,25 +71,35 @@ def nofriction_survival(d: DerivedParams, t: float) -> float:
         1 / sqrt((1 + No*w*t/2)**2 - (No/2)**2 * sin(w*t)**2)
 
     Valid for all ``t``; the oscillator heats without bound, so this decays
-    like ``1/(w*t)`` instead of exponentially.
+    like ``1/(w*t)`` instead of exponentially.  It is evaluated as
+    ``1/(sqrt(1 + h*(w*t - |sin w*t|)) * sqrt(1 + h*(w*t + |sin w*t|)))``, ``h = No/2``:
+    no square overflows, nothing cancels, and ``w*t - sin(w*t)`` comes from its
+    Taylor series below ``w*t = 1``.
     """
     t = _check_real("time t", t)
-    no = d.noise_number_free
+    h = d.noise_number_free / 2.0
     wt = d.omega * t
-    return 1.0 / math.sqrt((1.0 + no * wt / 2.0) ** 2
-                           - (no / 2.0) ** 2 * math.sin(wt) ** 2)
+    s = abs(math.sin(wt))
+    if wt < 1.0:
+        y, lo = wt * wt, 0.0
+        for c in reversed(_SIN_TAIL):
+            lo = c + y * lo
+        lo *= wt * y
+    else:
+        lo = wt - s
+    return 1.0 / (math.sqrt(1.0 + h * lo) * math.sqrt(1.0 + h * (wt + s)))
 
 
 def _centred_mean_angle(cov, squeeze: float) -> float:
-    """Mean angle of the centred Gaussian ``S @ cov @ S``, ``S = diag(1/squeeze, 1)``.
+    """Mean angle of the centred Gaussian ``S C S``, ``S = diag(1/squeeze, 1)``, ``cov = (a, b, d)``.
 
     The angular central Gaussian law (Tyler, Biometrika 1987) gives
-    ``atan2(-b, d + sqrt(det))`` for the covariance ``[[a, b], [b, d]]``;
+    ``atan2(-b, d + sqrt(det))`` for the covariance ``C = [[a, b], [b, d]]``;
     ``S`` scales both arguments by ``1/squeeze``.  No term cancels, and
     ``sqrt(pivot)*sqrt(Schur complement)`` stays finite where ``det``
     overflows.  ``0.0 - b`` keeps ``+0.0`` for an uncorrelated state.
     """
-    a, b, d = float(cov[0, 0]), float(cov[0, 1]), float(cov[1, 1])
+    a, b, d = cov
     hi, lo = max(a, d), min(a, d)
     schur = lo - b * (b / hi) if hi > 0.0 else 0.0  # det = hi*schur, as in _det
     if hi * schur <= _DEGENERATE_TOL:
@@ -93,7 +107,7 @@ def _centred_mean_angle(cov, squeeze: float) -> float:
     return math.atan2(0.0 - b, squeeze * d + math.sqrt(hi) * math.sqrt(schur))
 
 
-def _angle_profile(mean: np.ndarray, cov: np.ndarray):
+def _angle_profile(mean, cov):
     """Radial reduction of the displaced Gaussian ``(mean, cov)`` against functions of angle.
 
     Returns ``(profile, norm)`` with ``norm * integral(f(phi) * profile(phi) dphi)
@@ -111,16 +125,16 @@ def _angle_profile(mean: np.ndarray, cov: np.ndarray):
     ``q`` that rounds to zero or below makes the integrand non-finite, which
     :func:`integrate` reports the same way.
     """
-    if _det(cov) <= _DEGENERATE_TOL:
+    if _det(*cov) <= _DEGENERATE_TOL:
         raise ValueError("degenerate covariance has no angle density")
-    j = math.frexp(max(map(abs, cov.ravel().tolist())))[1] // 2
-    unit = np.ldexp(cov, -2 * j)
-    det = _det(unit)
+    j = math.frexp(max(map(abs, cov)))[1] // 2
+    unit = [math.ldexp(v, -2 * j) for v in cov]
+    det = _det(*unit)
     if det <= _DEGENERATE_TOL:
         raise QuadratureNotConverged(f"state too eccentric: det = {det!r} at unit scale",
                                      math.nan, math.inf, math.nan)
-    i00, i01, i11 = _inverse(unit, det)
-    m0, m1 = (math.ldexp(v, -j) for v in mean.tolist())
+    i00, i01, i11 = _inverse(*unit, det)
+    m0, m1 = (math.ldexp(v, -j) for v in mean)
     norm = 1.0 / (2.0 * math.pi * math.sqrt(det))
     g0, g1 = i00 * m0 + i01 * m1, i01 * m0 + i11 * m1
     w = m0 * g0 + m1 * g1
@@ -171,14 +185,14 @@ def _angle_rule(f: Callable[[np.ndarray], np.ndarray], beta_t: float, tol: float
     return integrate(g, (-2.0, -1.0, 0.0, *(cut * k / n for k in range(1, n + 1))), tol)
 
 
-def _mean_angle(mean: np.ndarray, cov: np.ndarray, beta_t: float, tol: float) -> float:
+def _mean_angle(mean, cov, beta_t: float, tol: float) -> float:
     """Mean canonical angle of the physical-frame Gaussian ``(mean, cov)`` at ``beta_t``.
 
     Closed form for a centred state, else the physical-angle integral to ``tol``;
     ``tol`` is checked for both.
     """
     tol = _check_real("tol", tol, positive=True)
-    if not mean.any():  # centred
+    if not any(mean):  # centred
         return _centred_mean_angle(cov, math.exp(-beta_t))
     profile, norm = _angle_profile(mean, cov)
     return _angle_rule(lambda a: a * norm, beta_t, tol, profile)
@@ -190,7 +204,7 @@ def mean_angle(state: Gaussian2D, tol: float = 1e-10) -> float:
     Closed form for a centred state, else angular quadrature to ``tol``.
     Signs follow the branch convention ``x + i*y = R*exp(i*phi)``.
     """
-    return _mean_angle(state.mean, state.cov, 0.0, tol)
+    return _mean_angle(state.mean.tolist(), _entries(state.cov), 0.0, tol)
 
 
 def phase_expectation(state0: Gaussian2D | None, d: DerivedParams, t: float,
@@ -202,8 +216,10 @@ def phase_expectation(state0: Gaussian2D | None, d: DerivedParams, t: float,
     its mean is zero the value is closed form in it, else it is its
     physical-angle integral to ``tol``.  Both decay to zero.
     """
+    t = _check_real("time t", t)
     state0 = ground_state() if state0 is None else state0
-    return _mean_angle(*_push(state0.mean, state0.cov, d, t)[:2], d.beta * _check_real("time t", t), tol)
+    mean, law = _push(state0.mean.tolist(), _entries(state0.cov), d, t)
+    return _mean_angle(mean, law[4:], d.beta * t, tol)
 
 
 def thermal_angle_expectation(phi_func: Callable[[np.ndarray], np.ndarray],

@@ -127,7 +127,7 @@ class TestGoldenBytes:
     """
 
     GOLDEN = {
-        "survival": "30e19f553d4174ea43c6c5b61ebf3a29c7505157f54aecf94cc869dd04454dfe",
+        "survival": "84dfe23ea782df2b944ebd11ba623a90634c98d0e1ad137de8c5847d4030e99a",
         "phase-mean": "8bbeb72aee49e3394043500311a01633e365039c54ac7760986525f714fd159f",
     }
     SPECTRUM_ROWS = Path(__file__).with_name("golden_spectrum.csv")

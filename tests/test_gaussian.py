@@ -22,7 +22,7 @@ import wigosc
 from wigosc import (Gaussian2D, ModelParams, RequiresFriction, classical_flow, coherent_state,
                     derive, evolve, ground_state, noise_form, noise_form_longtime, propagator,
                     state_overlap, thermal_state)
-from wigosc.gaussian import _damped_sin2_integral, _det, _inverse, _min_eig, _push
+from wigosc.gaussian import _damped_sin2_integral, _det, _entries, _inverse, _kernel, _min_eig, _push
 
 EPS = float(np.finfo(float).eps)
 TINY = float(np.finfo(float).tiny)
@@ -118,10 +118,12 @@ def _calls_to(tree, name):
 
 
 def test_only_gaussian_calls_the_propagator():
-    # every observable reads the physical-frame state through gaussian._push
-    callers = {path.stem for path in Path(wigosc.__file__).parent.glob("*.py")
-               if _calls_to(ast.parse(path.read_text()), "propagator")}
-    assert callers == {"gaussian"}
+    # every observable reads the physical-frame state through gaussian._push, which
+    # composes the kernel's floats; the public propagator only wraps them as arrays
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in Path(wigosc.__file__).parent.glob("*.py")}
+    assert {stem for stem, tree in trees.items() if _calls_to(tree, "_kernel")} == {"gaussian"}
+    assert {stem for stem, tree in trees.items() if _calls_to(tree, "propagator")} == set()
 
 
 def _blas_uses(tree):
@@ -131,6 +133,35 @@ def _blas_uses(tree):
     for name in ("dot", "vdot", "inner", "matmul", "tensordot", "einsum"):
         lines += _calls_to(tree, name)
     return sorted(lines + [line for _, line in _linalg_uses(tree)])
+
+
+def _array_builds(tree, names):
+    """Lines, within the functions ``names`` of ``tree``, of every ``.tolist()`` call and call
+    to a numpy array constructor."""
+    constructors = {"array", "asarray", "asanyarray", "ascontiguousarray", "zeros", "ones", "empty",
+                "full", "eye", "identity", "diag", "column_stack", "stack", "concatenate"}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in names:
+            lines += _calls_to(node, "tolist") + [
+                call.lineno for call in ast.walk(node) if isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute) and call.func.attr in constructors
+                and isinstance(call.func.value, ast.Name) and call.func.value.id in ("np", "numpy")]
+    return sorted(lines)
+
+
+def test_engine_steps_pass_floats():
+    # inside the engine moments and the kernel travel as floats: the private steps
+    # neither build an array nor unpack one
+    package = Path(wigosc.__file__).parent
+    steps = {"gaussian": ("_kernel", "_push", "_stretch_x"),
+             "observables": ("_mean_angle", "_centred_mean_angle")}
+    builds = {stem: lines for stem, names in steps.items()
+              if (lines := _array_builds(ast.parse((package / f"{stem}.py").read_text()), names))}
+    assert builds == {}
+    probe = ("def _push(m):\n    a = np.array(m)\n    b = m.tolist()\n    c = np.zeros(2)\n"
+             "    return numpy.asarray(a)\ndef other(m):\n    return np.array(m)")
+    assert _array_builds(ast.parse(probe), ("_push",)) == [2, 3, 4, 5]
 
 
 def test_gaussian_engine_makes_no_blas_call():
@@ -262,7 +293,7 @@ class TestClosedForms:
     def test_det_matches_exact_and_linalg(self, a, d, rho):
         m = _psd(a, d, rho)
         exact, size = _exact_det(m)
-        det = _det(m)
+        det = _det(*_entries(m))
         # backward stable: the error is a few eps * (|a*d| + b**2)
         assert float(abs(Fraction(det) - exact)) <= 2.0 * EPS * float(size)
         # np.linalg.det returns exp(log|u00| + log|u11|) of the LU factors:
@@ -277,7 +308,7 @@ class TestClosedForms:
         m = _psd(a, a * 10.0 ** log_ratio, rho)
         exact, size = _exact_det(m)
         assume(exact > 0 and size < 1e12 * exact)
-        ours = _inverse(m, _det(m))
+        ours = _inverse(*_entries(m), _det(*_entries(m)))
         adjugate = (m[1, 1], -m[0, 1], m[0, 0])
         for got, adj in zip(ours, adjugate):
             want = Fraction(float(adj)) / exact
@@ -297,20 +328,20 @@ class TestClosedForms:
         m = _psd(a, d, rho)
         if negate:  # an indefinite matrix with the same entries' magnitudes
             m[1, 1] = -m[1, 1]
-        err = abs(_min_eig(m) - float(np.linalg.eigvalsh(m)[0]))
+        err = abs(_min_eig(*_entries(m)) - float(np.linalg.eigvalsh(m)[0]))
         assert err <= 8.0 * EPS * float(np.max(np.abs(m)))
 
     @settings(max_examples=300, deadline=None)
     @given(st.floats(0.0, 1.7e308), st.floats(0.0, 1.7e308), _CORRELATION)
     def test_det_never_nan_for_psd_input(self, a, d, rho):
-        assert not math.isnan(_det(_psd(a, d, rho)))
+        assert not math.isnan(_det(*_entries(_psd(a, d, rho))))
 
     def test_det_overflows_only_with_the_determinant(self):
         # a*d and b*b are both ~1e310, so a*d - b*b is inf - inf; det is ~2e301
         m = _psd(1e300, 1e10, 1.0 - 1e-9)
         exact, _ = _exact_det(m)
-        assert _det(m) == pytest.approx(float(exact), rel=1e-6)
-        assert _det(np.array([[1e200, 0.0], [0.0, 1e200]])) == math.inf
+        assert _det(*_entries(m)) == pytest.approx(float(exact), rel=1e-6)
+        assert _det(1e200, 0.0, 1e200) == math.inf
 
     @settings(max_examples=300, deadline=None)
     @given(_MAGNITUDE, _MAGNITUDE, st.floats(-1.001, 1.001))
@@ -499,7 +530,9 @@ class TestPropagator:
         np.testing.assert_array_equal(kern.flow, flow)
         np.testing.assert_array_equal(kern.cov_physical,
                                       np.array([[e2 * q_bb, q_ab], [q_ab, q_aa / e2]]))
-        assert not kern.flow.flags.writeable
+        assert not kern.flow.flags.writeable and not kern.cov_physical.flags.writeable
+        # the arrays wrap the floats _push composes, entry for entry
+        assert _kernel(d, t) == (*kern.flow.ravel().tolist(), *_entries(kern.cov_physical))
 
     def test_small_friction_continuity(self):
         eps = derive(ModelParams(mass=1.0, omega=1.0, beta=1e-8, mu=0.4))
@@ -601,10 +634,9 @@ class TestFrameMap:
     def test_physical_view_of_evolve_is_the_push(self, beta_t, log_d, big_b, start):
         d = derive(ModelParams.from_dimensionless(math.exp(log_d), big_b))
         t = beta_t / d.beta
-        _, ((a, b), (c, e)), flow = _push(start.mean, start.cov, d, t)
-        assert b == c  # one off-diagonal, pushed once
+        _, (f00, f01, f10, f11, a, b, e) = _push(start.mean.tolist(), _entries(start.cov), d, t)
         m0, m1 = (float(Fraction(f) * Fraction(start.mean[0]) + Fraction(g) * Fraction(start.mean[1]))
-                  for f, g in flow)
+                  for f, g in ((f00, f01), (f10, f11)))
         view = evolve(start, d, t).physical(d.beta, t)
         # each entry comes back to a few ulps of its scale, the mean to a few of
         # the exact F m0 (evolve rounds the stretched mean once, where _push's

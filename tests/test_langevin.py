@@ -307,7 +307,9 @@ class TestNoiseLayout:
                         record_every=record_every)
         report = simulate_ensemble(params, cfg, initial=_STARTS[start])
         mean0, _, root = langevin._start_moments(_STARTS[start])
-        mean, cov = _moments(run_interval_columns(params, cfg, mean0, root), n)
+        if root is not None:  # the entries (r00, r01, r11) of the symmetric root
+            root = np.array([root[:2], root[1:]])
+        mean, cov = _moments(run_interval_columns(params, cfg, np.array(mean0), root), n)
         scale = float(np.max(np.abs(mean) + np.sqrt(np.abs(np.diagonal(cov, axis1=1, axis2=2)))))
         assert np.max(np.abs(report.mean - mean)) <= 1e-13 * scale
         assert np.max(np.abs(report.cov - cov)) <= 1e-13 * scale ** 2
@@ -337,8 +339,8 @@ class TestNoiseLayout:
                     [[1e-300, 0.0], [0.0, 1e-300]], [[3e-310, 1e-310], [1e-310, 2e-310]],
                     [[1e300, 5e299], [5e299, 1e300]]):
             cov = np.array(cov)
-            root = langevin._sqrt_psd(cov)
-            assert np.array_equal(root, root.T)
+            r00, r01, r11 = langevin._sqrt_psd(cov[0, 0], cov[0, 1], cov[1, 1])
+            root = np.array([[r00, r01], [r01, r11]])  # symmetric by construction
             # subnormal products keep only an absolute accuracy of a few 5e-324
             tol = 8 * EPS * np.max(np.abs(cov)) + 4 * 5e-324
             assert np.max(np.abs(root @ root.T - cov)) <= tol, cov

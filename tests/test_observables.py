@@ -14,7 +14,7 @@ from wigosc import (Gaussian2D, ModelParams, QuadratureNotConverged, RequiresFri
                     evolve, ground_state, longtime_survival, mean_angle, nofriction_survival,
                     phase_expectation, physical_phase_matrix, propagator, survival_probability,
                     thermal_angle_expectation, thermal_state)
-from wigosc.gaussian import _push
+from wigosc.gaussian import _entries, _push
 from wigosc.observables import _angle_profile
 
 PI2_3 = math.pi ** 2 / 3.0
@@ -91,6 +91,22 @@ class TestSurvival:
             wt = k * math.pi
             assert nofriction_survival(d_free, wt) == pytest.approx(
                 1.0 / (1.0 + no * wt / 2.0), rel=1e-13)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-3.0, 8.0), st.floats(-6.0, 300.0))
+    @example(math.log10(0.25), 160.0)  # (1 + No*wt/2)**2 overflowed here
+    @example(math.log10(0.25), 300.0)
+    @example(math.log10(5.8e7), math.log10(4.6e-3))  # the squares' difference cancelled 3.8e4 eps
+    @example(3.0, 0.0)  # wt = 1, where the Taylor series of wt - sin(wt) hands over
+    def test_nofriction_within_four_eps_of_40_digits(self, log_no, log_wt):
+        # the unfactored closed form in 40 digits, at the float No and w*t the code reads
+        mpmath = pytest.importorskip("mpmath")
+        d = derive(ModelParams.from_dimensionless(1.0, 0.0, 10.0 ** log_no))
+        t = 10.0 ** log_wt / d.omega
+        with mpmath.workdps(40):
+            no, wt = mpmath.mpf(d.noise_number_free), mpmath.mpf(d.omega * t)
+            exact = 1 / mpmath.sqrt((1 + no * wt / 2) ** 2 - (no / 2) ** 2 * mpmath.sin(wt) ** 2)
+        assert abs(nofriction_survival(d, t) - exact) <= 4.0 * EPS * exact
 
     def test_against_bruteforce_quadrature(self, d_default):
         t = 7.3
@@ -187,7 +203,7 @@ def ground_start_angle_mpmath(d, t):
     = [[a, b], [b, d]]`` as ``_push`` forms it, with ``exp(-beta*t)`` exact.
     """
     mpmath = pytest.importorskip("mpmath")
-    (a, b), (_, c) = _push(ground_state().mean, ground_state().cov, d, t)[1].tolist()
+    a, b, c = _push(ground_state().mean.tolist(), _entries(ground_state().cov), d, t)[1][4:]
     with mpmath.workdps(40):
         a, b, c = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(c)
         squeeze = mpmath.exp(-mpmath.mpf(d.beta) * mpmath.mpf(t))
@@ -226,7 +242,7 @@ class TestMeanAngle:
     def test_profile_normalisation(self):
         # E[1] through the same radial reduction must be exactly 1
         state = Gaussian2D(np.array([0.5, 0.2]), np.array([[1.3, 0.4], [0.4, 0.8]]))
-        profile, norm = _angle_profile(state.mean, state.cov)
+        profile, norm = _angle_profile(state.mean.tolist(), _entries(state.cov))
         from wigosc.quadrature import integrate_angular
         total = norm * integrate_angular(profile, tol=1e-12)
         assert total == pytest.approx(1.0, abs=1e-10)

@@ -124,8 +124,13 @@ class TestAngleOperatorMatrix:
         for built, table, fourier in cases:
             np.testing.assert_array_equal(built.values, angle_matrix_loop(table, fourier))
 
-    def test_hermitian_exactly(self):
-        a = angle_operator_matrix(phase_fourier, 40).values
+    @pytest.mark.parametrize("build", [lambda: angle_operator_matrix(phase_fourier, 40),
+                                       lambda: canonical_phase_matrix(120),
+                                       lambda: physical_phase_matrix(120, 2.0)],
+                             ids=["angle", "canonical", "physical"])
+    def test_hermitian_exactly(self, build):
+        # the lower triangle is the exact conjugate of the upper one, and the diagonal is 0
+        a = build().values
         assert np.max(np.abs(a - a.conj().T)) == 0.0
 
 
